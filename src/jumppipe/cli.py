@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -90,30 +91,6 @@ def _add_tcn_flags(p, stages=2, layers=7, filters=16, epochs=20, lr=1e-3):
     p.add_argument("--lr", type=float, default=lr)
 
 
-def _feature_table(sessions, height_records, width):
-    vocab = seg.DEFAULT_VOCAB
-    heights = {}
-    for r in height_records:
-        heights[(r.subject_id, r.segment.start, r.segment.end,
-                 r.segment.class_id)] = r.height_m
-    rows, targets = [], []
-    for sess in sessions:
-        if sess.labels is None:
-            raise ValueError(f"session {sess.subject_id!r} has no labels")
-        n = sess.samples.shape[0]
-        for s in seg.extract_segments(sess.labels, vocab):
-            if not vocab.is_jump(s.class_id):
-                continue
-            key = (sess.subject_id, s.start, s.end, s.class_id)
-            if key not in heights:
-                raise ValueError(f"missing height for segment {key}")
-            roi = seg.select_roi(s, n, width)
-            window = seg.roi_window(roi, sess.samples)
-            rows.append(features.extract_feature_vector(window, s.class_id, vocab))
-            targets.append(heights[key])
-    return np.asarray(rows), np.asarray(targets)
-
-
 def _read_feature_csv(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -133,7 +110,11 @@ def _read_feature_csv(path):
             raise ParseError(path, ln, "non-numeric cell") from None
         X.append(vals[:-1])
         y.append(vals[-1])
-    return np.asarray(X), np.asarray(y)
+    if not X:
+        raise ParseError(path, 2, "no data rows")
+    X, y = np.asarray(X), np.asarray(y)
+    dataio.reject_non_finite(path, lines, np.column_stack([X, y]))
+    return X, y
 
 
 def _write_feature_csv(X, y, path):
@@ -181,9 +162,7 @@ def _cmd_train(args):
     path = os.path.join(args.out, "model.ckpt")
     dataio.save_checkpoint(weights, path)
     _write_manifest(args.out, "train",
-                    {"seed": args.seed, "stages": args.stages,
-                     "layers": args.layers, "filters": args.filters,
-                     "epochs": args.epochs, "lr": args.lr,
+                    {**tcn.config_to_doc(config),
                      "final_loss": history[-1] if history else None},
                     [args.data], [path])
     _log(f"saved model to {path}")
@@ -212,12 +191,10 @@ def _cmd_eval_seg(args):
     truth = dataio.read_annotations(args.truth)
     match = seg.match_segments(pred, truth, args.threshold)
     metrics = evaluation.precision_recall_f1(match)
-    doc = evaluation.report_to_dict(
-        evaluation.EvalReport(metrics, {}, evaluation.RegMetrics(0, 0, 0, 0, 0),
-                              [], {}))["seg_metrics"]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "seg_metrics.json")
-    dataio.atomic_write_text(path, json.dumps(doc, indent=2))
+    dataio.atomic_write_text(
+        path, json.dumps(evaluation.seg_metrics_to_dict(metrics), indent=2))
     _write_manifest(args.out, "eval-seg", {"threshold": args.threshold},
                     [args.pred, args.truth], [path])
     _log(f"overall F1 = {metrics.overall.f1:.4f} -> {path}")
@@ -227,7 +204,7 @@ def _cmd_eval_seg(args):
 def _cmd_extract_features(args):
     sessions = _load_sessions(args.data)
     heights = dataio.read_heights(os.path.join(args.data, "heights.csv"))
-    X, y = _feature_table(sessions, heights, args.width)
+    X, y = evaluation.feature_table(sessions, heights, args.width)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "features.csv")
     _write_feature_csv(X, y, path)
@@ -260,11 +237,9 @@ def _cmd_eval_reg(args):
     X, y = _read_feature_csv(args.features)
     pred = regression.predict(model, X)
     metrics = evaluation.reg_metrics(y, pred)
-    doc = {"r2": metrics.r2, "rmse": metrics.rmse, "mape": metrics.mape,
-           "pearson_r": metrics.pearson_r, "n": metrics.n}
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "reg_metrics.json")
-    dataio.atomic_write_text(path, json.dumps(doc, indent=2))
+    dataio.atomic_write_text(path, json.dumps(asdict(metrics), indent=2))
     _write_manifest(args.out, "eval-reg", {}, [args.model, args.features],
                     [path])
     _log(f"R2 = {metrics.r2:.4f}, RMSE = {metrics.rmse:.4f} m -> {path}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regression, tcn
-from .nncore import ConvKernel, LossConfig
 from .segmentation import DEFAULT_VOCAB, ClassVocabulary, Segment
 
 SAMPLE_RATE_HZ = 100
@@ -98,6 +97,19 @@ def write_session_csv(session: ImuSession, path,
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def reject_non_finite(path, lines, table: np.ndarray) -> None:
+    """Raise a ParseError naming the first line with a nan or inf cell.
+
+    Row i of the (rows, columns) `table` holds the i-th non-blank line after
+    the header of `lines`.
+    """
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        data_lines = [ln for ln, line in enumerate(lines[1:], start=2) if line]
+        raise ParseError(path, data_lines[int(finite.argmin())],
+                         "non-finite cell (nan or inf)")
+
+
 def read_session_csv(path, subject_id: str | None = None,
                      vocab: ClassVocabulary = DEFAULT_VOCAB) -> ImuSession:
     with open(path) as fh:
@@ -126,7 +138,7 @@ def read_session_csv(path, subject_id: str | None = None,
         except ValueError as e:
             raise ParseError(path, ln, f"non-numeric cell: {e}") from None
         expected_t = (ln - 2) * dt
-        if abs(t - expected_t) > 1e-6:
+        if not abs(t - expected_t) <= 1e-6:  # also rejects a nan timestamp
             raise ParseError(path, ln,
                              f"irregular timestamp {t}, expected {expected_t:.2f}")
         rows.append(values)
@@ -137,11 +149,13 @@ def read_session_csv(path, subject_id: str | None = None,
                 raise ParseError(path, ln, str(e)) from None
     if not rows:
         raise ParseError(path, 2, "no data rows")
+    samples = np.array(rows)
+    reject_non_finite(path, lines, samples)
     if subject_id is None:
         subject_id = os.path.splitext(os.path.basename(path))[0]
     return ImuSession(
         subject_id=subject_id,
-        samples=np.array(rows),
+        samples=samples,
         labels=np.array(labels) if has_label else None,
     )
 
@@ -216,8 +230,9 @@ def read_heights(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[HeightRec
             raise ParseError(path, ln, str(e)) from None
         if end <= start:
             raise ParseError(path, ln, f"reversed interval [{start}, {end})")
-        if height <= 0:
-            raise ParseError(path, ln, f"non-positive height {height}")
+        if not 0 < height < math.inf:  # also rejects nan
+            raise ParseError(path, ln,
+                             f"height must be positive and finite, got {height}")
         if not vocab.is_jump(cid):
             raise ParseError(path, ln,
                              f"class {cells[3]!r} is not height-eligible")
@@ -237,140 +252,12 @@ def write_heights(records, path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> None
 
 # ----------------------------------------------------------- checkpoints
 
-def _array_to_doc(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
-
-
-def _array_from_doc(doc) -> np.ndarray:
-    return np.array(doc["data"], dtype=np.float64).reshape(doc["shape"])
-
-
-def _tree_to_doc(node: regression.TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": float(node.value)}
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _tree_to_doc(node.left),
-        "right": _tree_to_doc(node.right),
-    }
-
-
-def _tree_from_doc(doc) -> regression.TreeNode:
-    if "leaf" in doc:
-        return regression.TreeNode(value=doc["leaf"])
-    return regression.TreeNode(
-        value=0.0,
-        feature=doc["feature"],
-        threshold=doc["threshold"],
-        left=_tree_from_doc(doc["left"]),
-        right=_tree_from_doc(doc["right"]),
-    )
-
-
-def _mstcn_to_doc(weights: tcn.ModelWeights) -> dict:
-    cfg = weights.config
-    return {
-        "config": {
-            "num_stages": cfg.num_stages,
-            "num_layers": cfg.stage.num_layers,
-            "num_filters": cfg.stage.num_filters,
-            "kernel_size": cfg.stage.kernel_size,
-            "in_channels": cfg.stage.in_channels,
-            "num_classes": cfg.stage.num_classes,
-            "lambda_tmse": cfg.loss.lambda_tmse,
-            "tau": cfg.loss.tau,
-            "epochs": cfg.epochs,
-            "lr": cfg.lr,
-            "seed": cfg.seed,
-        },
-        "params": {name: _array_to_doc(a) for name, a in weights.named_params()},
-    }
-
-
-def _mstcn_from_doc(doc) -> tcn.ModelWeights:
-    c = doc["config"]
-    config = tcn.MsTcnConfig(
-        num_stages=c["num_stages"],
-        stage=tcn.SsTcnConfig(
-            num_layers=c["num_layers"],
-            num_filters=c["num_filters"],
-            kernel_size=c["kernel_size"],
-            in_channels=c["in_channels"],
-            num_classes=c["num_classes"],
-        ),
-        loss=LossConfig(lambda_tmse=c["lambda_tmse"], tau=c["tau"]),
-        epochs=c["epochs"],
-        lr=c["lr"],
-        seed=c["seed"],
-    )
-    weights = tcn.build_mstcn(config)
-    params = doc["params"]
-    for name, arr in weights.named_params():
-        saved = _array_from_doc(params[name])
-        if saved.shape != arr.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape "
-                             f"{saved.shape}, expected {arr.shape}")
-        arr[...] = saved
-    return weights
-
-
-def _regressor_to_doc(model: regression.TrainedRegressor) -> dict:
-    doc = {"input_dim": model.input_dim,
-           "catalog_version": model.catalog_version}
-    pl = model.payload
-    if model.kind == "rf":
-        doc["trees"] = [_tree_to_doc(t) for t in pl["trees"]]
-    elif model.kind == "gbt":
-        doc["base"] = pl["base"]
-        doc["eta"] = pl["config"].eta
-        doc["trees"] = [_tree_to_doc(t) for t in pl["trees"]]
-    elif model.kind == "mlp":
-        doc["mu"] = _array_to_doc(pl["mu"])
-        doc["sigma"] = _array_to_doc(pl["sigma"])
-        doc["layers"] = [
-            {"w": _array_to_doc(l.weights), "b": _array_to_doc(l.bias)}
-            for l in pl["layers"]
-        ]
-    else:
-        raise ValueError(f"unknown regressor kind {model.kind!r}")
-    return doc
-
-
-def _regressor_from_doc(kind, doc) -> regression.TrainedRegressor:
-    if kind == "rf":
-        payload = {"trees": [_tree_from_doc(t) for t in doc["trees"]],
-                   "config": regression.RfConfig()}
-    elif kind == "gbt":
-        payload = {
-            "base": doc["base"],
-            "trees": [_tree_from_doc(t) for t in doc["trees"]],
-            "config": regression.GbtConfig(eta=doc["eta"]),
-        }
-    elif kind == "mlp":
-        payload = {
-            "mu": _array_from_doc(doc["mu"]),
-            "sigma": _array_from_doc(doc["sigma"]),
-            "layers": [
-                ConvKernel(weights=_array_from_doc(l["w"]),
-                           bias=_array_from_doc(l["b"]))
-                for l in doc["layers"]
-            ],
-            "config": regression.MlpRegConfig(),
-        }
-    else:
-        raise ValueError(f"unknown regressor kind {kind!r}")
-    return regression.TrainedRegressor(
-        kind, payload, doc["input_dim"], doc["catalog_version"]
-    )
-
-
 def save_checkpoint(model, path) -> None:
     """Versioned JSON container for either a TCN or a regressor."""
     if isinstance(model, tcn.ModelWeights):
-        kind, body = "mstcn", _mstcn_to_doc(model)
+        kind, body = "mstcn", tcn.weights_to_doc(model)
     elif isinstance(model, regression.TrainedRegressor):
-        kind, body = model.kind, _regressor_to_doc(model)
+        kind, body = model.kind, regression.to_doc(model)
     else:
         raise TypeError(f"cannot checkpoint object of type {type(model)}")
     doc = {"magic": CHECKPOINT_MAGIC, "format_version": CHECKPOINT_VERSION,
@@ -391,14 +278,20 @@ def load_checkpoint(path, expect: str | None = None):
         raise ValueError(
             f"{path}: unsupported checkpoint version {doc.get('format_version')}"
         )
+    if "kind" not in doc:
+        raise ValueError(f"{path}: checkpoint is missing field 'kind'")
     kind = doc["kind"]
     if expect == "mstcn" and kind != "mstcn":
         raise ValueError(f"{path}: expected an MS-TCN checkpoint, found {kind!r}")
     if expect == "regressor" and kind == "mstcn":
         raise ValueError(f"{path}: expected a regressor checkpoint, found {kind!r}")
-    if kind == "mstcn":
-        return _mstcn_from_doc(doc)
-    return _regressor_from_doc(kind, doc)
+    try:
+        if kind == "mstcn":
+            return tcn.weights_from_doc(doc)
+        return regression.from_doc(kind, doc)
+    except KeyError as e:
+        raise ValueError(f"{path}: {kind} checkpoint is missing field "
+                         f"{e.args[0]!r}") from None
 
 
 # ------------------------------------------------------ synthetic sessions

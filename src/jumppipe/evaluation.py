@@ -8,7 +8,7 @@ chains detection, feature extraction and regression per LOSO fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -189,34 +189,37 @@ def loso_split(subject_ids) -> list[LosoFold]:
     return folds
 
 
-def _segment_heights(height_records, subject_id):
-    """Map (start, end, class_id) -> height for one subject."""
-    return {
-        (r.segment.start, r.segment.end, r.segment.class_id): r.height_m
-        for r in height_records
-        if r.subject_id == subject_id
-    }
+def _height_lookup(height_records) -> dict:
+    """(subject_id, start, end, class_id) -> height_m."""
+    return {(r.subject_id, r.segment.start, r.segment.end, r.segment.class_id):
+            r.height_m for r in height_records}
 
 
-def _ground_truth_features(sessions, heights_by_subject, width, vocab):
-    """Feature matrix + height targets from annotated eligible segments."""
+def _height_of(heights, subject_id, segment) -> float:
+    key = (subject_id, segment.start, segment.end, segment.class_id)
+    if key not in heights:
+        raise ValueError(f"missing height for segment {key[1:]} of subject "
+                         f"{subject_id!r}")
+    return heights[key]
+
+
+def feature_table(sessions, height_records, width: int = DEFAULT_ROI_WIDTH,
+                  vocab=DEFAULT_VOCAB):
+    """Feature matrix + height targets of every annotated height-eligible
+    segment, session by session in temporal order."""
+    heights = _height_lookup(height_records)
     X, y = [], []
     for sess in sessions:
-        lookup = heights_by_subject.get(sess.subject_id, {})
+        if sess.labels is None:
+            raise ValueError(f"session {sess.subject_id!r} has no labels")
         n = sess.samples.shape[0]
         for seg in segmentation.extract_segments(sess.labels, vocab):
             if not vocab.is_jump(seg.class_id):
                 continue
-            key = (seg.start, seg.end, seg.class_id)
-            if key not in lookup:
-                raise ValueError(
-                    f"missing height for segment {key} of subject "
-                    f"{sess.subject_id!r}"
-                )
             roi = segmentation.select_roi(seg, n, width)
             window = segmentation.roi_window(roi, sess.samples)
             X.append(feat.extract_feature_vector(window, seg.class_id, vocab))
-            y.append(lookup[key])
+            y.append(_height_of(heights, sess.subject_id, seg))
     return np.asarray(X), np.asarray(y)
 
 
@@ -243,9 +246,7 @@ def run_pipeline_eval(
     sessions = list(sessions)
     subjects = [s.subject_id for s in sessions]
     by_subject = {s.subject_id: s for s in sessions}
-    heights_by_subject = {
-        sid: _segment_heights(height_records, sid) for sid in subjects
-    }
+    heights = _height_lookup(height_records)
     folds = loso_split(subjects)
 
     eligible_names = [vocab.names[i] for i in vocab.eligible_ids()]
@@ -280,27 +281,20 @@ def run_pipeline_eval(
             count_rows_truth[name].append(tc[name])
             count_rows_pred[name].append(pc[name])
 
-        X_train, y_train = _ground_truth_features(
-            train_sessions, heights_by_subject, width, vocab
-        )
+        X_train, y_train = feature_table(train_sessions, height_records,
+                                         width, vocab)
         model = regression.fit(regressor_kind, X_train, y_train,
                                regressor_config)
-        test_heights = heights_by_subject[fold.test_subject]
         n = test_session.samples.shape[0]
         for pred_seg, truth_seg, _ in match.pairs:
             if not vocab.is_jump(truth_seg.class_id):
                 continue
-            key = (truth_seg.start, truth_seg.end, truth_seg.class_id)
-            if key not in test_heights:
-                raise ValueError(
-                    f"missing height for segment {key} of subject "
-                    f"{fold.test_subject!r}"
-                )
+            pooled_truth_h.append(
+                _height_of(heights, fold.test_subject, truth_seg))
             roi = segmentation.select_roi(pred_seg, n, width)
             window = segmentation.roi_window(roi, test_session.samples)
             vec = feat.extract_feature_vector(window, pred_seg.class_id, vocab)
             pooled_pred_h.append(regression.predict(model, vec))
-            pooled_truth_h.append(test_heights[key])
 
     merged = segmentation.MatchResult([], [], [], threshold,
                                       agg_tp, agg_fp, agg_fn)
@@ -317,14 +311,7 @@ def run_pipeline_eval(
         "iou_threshold": threshold,
         "roi_width": width,
         "min_duration": min_duration,
-        "tcn": {
-            "num_stages": tcn_config.num_stages,
-            "num_layers": tcn_config.stage.num_layers,
-            "num_filters": tcn_config.stage.num_filters,
-            "epochs": tcn_config.epochs,
-            "lr": tcn_config.lr,
-            "seed": tcn_config.seed,
-        },
+        "tcn": tcn.config_to_doc(tcn_config),
         "regressor": regressor_kind,
         "catalog_version": feat.CATALOG_VERSION,
         "num_subjects": len(subjects),
@@ -332,30 +319,28 @@ def run_pipeline_eval(
     return EvalReport(seg, count_loa, metrics, points, config_echo)
 
 
+def _counts_to_dict(cc: ClassCounts) -> dict:
+    return {**asdict(cc), "precision": cc.precision, "recall": cc.recall,
+            "f1": cc.f1}
+
+
+def seg_metrics_to_dict(metrics: SegMetrics) -> dict:
+    """JSON-ready segment metrics: a report's `seg_metrics` block and the
+    `eval-seg` output."""
+    return {
+        "per_class": {k: _counts_to_dict(v)
+                      for k, v in metrics.per_class.items()},
+        "overall": _counts_to_dict(metrics.overall),
+        "iou_threshold": metrics.iou_threshold,
+    }
+
+
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-ready dictionary with the fixed report schema."""
-    def loa(a: AgreementStats):
-        return {"mean_diff": a.mean_diff, "std_diff": a.std_diff,
-                "loa_low": a.loa_low, "loa_high": a.loa_high, "n": a.n}
-
-    def counts(cc: ClassCounts):
-        return {"tp": cc.tp, "fp": cc.fp, "fn": cc.fn,
-                "precision": cc.precision, "recall": cc.recall, "f1": cc.f1}
-
     return {
-        "seg_metrics": {
-            "per_class": {k: counts(v) for k, v in report.seg_metrics.per_class.items()},
-            "overall": counts(report.seg_metrics.overall),
-            "iou_threshold": report.seg_metrics.iou_threshold,
-        },
-        "count_loa": {k: loa(v) for k, v in report.count_loa.items()},
-        "reg_metrics": {
-            "r2": report.reg_metrics.r2,
-            "rmse": report.reg_metrics.rmse,
-            "mape": report.reg_metrics.mape,
-            "pearson_r": report.reg_metrics.pearson_r,
-            "n": report.reg_metrics.n,
-        },
+        "seg_metrics": seg_metrics_to_dict(report.seg_metrics),
+        "count_loa": {k: asdict(v) for k, v in report.count_loa.items()},
+        "reg_metrics": asdict(report.reg_metrics),
         "bland_altman_points": [[m, d] for m, d in report.bland_altman_points],
         "config_echo": report.config_echo,
     }

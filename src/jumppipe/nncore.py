@@ -59,6 +59,16 @@ class ConvKernel:
         return self.weights.shape[2]
 
 
+def array_to_doc(a: np.ndarray) -> dict:
+    """JSON-ready form of a float64 array; `array_from_doc` inverts it
+    exactly, since Python's float repr round-trips."""
+    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
+
+
+def array_from_doc(doc) -> np.ndarray:
+    return np.array(doc["data"], dtype=np.float64).reshape(doc["shape"])
+
+
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x

@@ -33,6 +33,11 @@ class RfConfig:
             raise ValueError("n_estimators and max_depth must be >= 1")
 
 
+def _check_eta(eta) -> None:
+    if not 0 < eta <= 1:
+        raise ValueError("eta must be in (0, 1]")
+
+
 @dataclass
 class GbtConfig:
     eta: float = 0.1
@@ -42,8 +47,7 @@ class GbtConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must be in (0, 1]")
+        _check_eta(self.eta)
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
 
@@ -63,7 +67,8 @@ class MlpRegConfig:
 @dataclass
 class TrainedRegressor:
     kind: str  # "rf" | "gbt" | "mlp"
-    payload: dict
+    payload: dict  # rf: trees; gbt: base, eta, trees (+ stage_mse from
+    #                fit_gbt); mlp: layers, mu, sigma
     input_dim: int
     catalog_version: int = CATALOG_VERSION
 
@@ -223,7 +228,7 @@ def fit_rf(X, y, config: RfConfig = RfConfig()) -> TrainedRegressor:
                 rng=tree_rng,
             )
         )
-    return TrainedRegressor("rf", {"trees": trees, "config": config}, p)
+    return TrainedRegressor("rf", {"trees": trees}, p)
 
 
 def predict_rf(model: TrainedRegressor, X):
@@ -248,7 +253,7 @@ def fit_gbt(X, y, config: GbtConfig = GbtConfig()) -> TrainedRegressor:
         current = current + config.eta * predict_tree(tree, X)
         trees.append(tree)
         stage_mse.append(float(((y - current) ** 2).mean()))
-    payload = {"base": base, "trees": trees, "config": config,
+    payload = {"base": base, "trees": trees, "eta": config.eta,
                "stage_mse": stage_mse}
     return TrainedRegressor("gbt", payload, X.shape[1])
 
@@ -256,7 +261,7 @@ def fit_gbt(X, y, config: GbtConfig = GbtConfig()) -> TrainedRegressor:
 def predict_gbt(model: TrainedRegressor, X):
     X, single = _check_input(model, X)
     preds = np.full(X.shape[0], model.payload["base"])
-    eta = model.payload["config"].eta
+    eta = model.payload["eta"]
     for tree in model.payload["trees"]:
         preds += eta * predict_tree(tree, X)
     return float(preds[0]) if single else preds
@@ -320,7 +325,7 @@ def fit_mlp_regressor(X, y, config: MlpRegConfig = MlpRegConfig()) -> TrainedReg
         grad_out = 2.0 * (pred - yy) / n
         grads = _mlp_backward(layers, caches, grad_out)
         nncore.adam_step(params, grads, opt)
-    payload = {"layers": layers, "mu": mu, "sigma": sigma, "config": config}
+    payload = {"layers": layers, "mu": mu, "sigma": sigma}
     return TrainedRegressor("mlp", payload, X.shape[1])
 
 
@@ -342,6 +347,83 @@ def predict(model: TrainedRegressor, X):
 def fit(kind: str, X, y, config=None):
     fitter = _FITTERS[kind]
     return fitter(X, y) if config is None else fitter(X, y, config)
+
+
+# ----------------------------------------------------- checkpoint body
+
+def _tree_to_doc(node: TreeNode) -> dict:
+    if node.is_leaf:
+        return {"leaf": float(node.value)}
+    return {
+        "feature": int(node.feature),
+        "threshold": float(node.threshold),
+        "left": _tree_to_doc(node.left),
+        "right": _tree_to_doc(node.right),
+    }
+
+
+def _tree_from_doc(doc) -> TreeNode:
+    if "leaf" in doc:
+        return TreeNode(value=doc["leaf"])
+    return TreeNode(
+        value=0.0,
+        feature=doc["feature"],
+        threshold=doc["threshold"],
+        left=_tree_from_doc(doc["left"]),
+        right=_tree_from_doc(doc["right"]),
+    )
+
+
+def to_doc(model: TrainedRegressor) -> dict:
+    """Checkpoint body: what prediction reads, plus the feature contract."""
+    doc = {"input_dim": model.input_dim,
+           "catalog_version": model.catalog_version}
+    pl = model.payload
+    if model.kind == "rf":
+        doc["trees"] = [_tree_to_doc(t) for t in pl["trees"]]
+    elif model.kind == "gbt":
+        doc["base"] = pl["base"]
+        doc["eta"] = pl["eta"]
+        doc["trees"] = [_tree_to_doc(t) for t in pl["trees"]]
+    elif model.kind == "mlp":
+        doc["mu"] = nncore.array_to_doc(pl["mu"])
+        doc["sigma"] = nncore.array_to_doc(pl["sigma"])
+        doc["layers"] = [
+            {"w": nncore.array_to_doc(l.weights),
+             "b": nncore.array_to_doc(l.bias)}
+            for l in pl["layers"]
+        ]
+    else:
+        raise ValueError(f"unknown regressor kind {model.kind!r}")
+    return doc
+
+
+def from_doc(kind: str, doc) -> TrainedRegressor:
+    if doc["catalog_version"] != CATALOG_VERSION:
+        raise ValueError(
+            f"regressor was fit on feature catalog version "
+            f"{doc['catalog_version']}, this build extracts version "
+            f"{CATALOG_VERSION}")
+    if kind == "rf":
+        payload = {"trees": [_tree_from_doc(t) for t in doc["trees"]]}
+    elif kind == "gbt":
+        _check_eta(doc["eta"])
+        payload = {"base": doc["base"], "eta": doc["eta"],
+                   "trees": [_tree_from_doc(t) for t in doc["trees"]]}
+    elif kind == "mlp":
+        payload = {
+            "mu": nncore.array_from_doc(doc["mu"]),
+            "sigma": nncore.array_from_doc(doc["sigma"]),
+            "layers": [
+                nncore.ConvKernel(weights=nncore.array_from_doc(l["w"]),
+                                  bias=nncore.array_from_doc(l["b"]))
+                for l in doc["layers"]
+            ],
+        }
+    else:
+        raise ValueError(f"unknown regressor kind {kind!r}")
+    return TrainedRegressor(kind, payload, doc["input_dim"],
+                            doc["catalog_version"])
 
 
 # --------------------------------------------------------- importance

@@ -119,18 +119,15 @@ def extract_segments(labels, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[Seg
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= vocab.num_classes):
         raise ValueError("labels outside the vocabulary range")
-    segments = []
-    n = labels.size
-    t = 0
-    while t < n:
-        c = labels[t]
-        u = t + 1
-        while u < n and labels[u] == c:
-            u += 1
-        if c != 0:
-            segments.append(Segment(t, u, int(c)))
-        t = u
-    return segments
+    if labels.size == 0:
+        return []
+    ends = np.append(np.flatnonzero(np.diff(labels)) + 1, labels.size)
+    starts = np.append(0, ends[:-1])
+    classes = labels[starts]
+    keep = classes != 0
+    return [Segment(s, e, c) for s, e, c in zip(starts[keep].tolist(),
+                                                 ends[keep].tolist(),
+                                                 classes[keep].tolist())]
 
 
 def segments_to_labels(

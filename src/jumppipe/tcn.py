@@ -17,8 +17,6 @@ import numpy as np
 from . import nncore
 from .nncore import AdamState, ConvKernel, DimensionError, LossConfig
 
-WEIGHTS_VERSION = 1
-
 
 @dataclass
 class SsTcnConfig:
@@ -64,7 +62,6 @@ class StageWeights:
 class ModelWeights:
     config: MsTcnConfig
     stages: list[StageWeights]
-    version: int = WEIGHTS_VERSION
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         """Flat (name, array) list in a fixed order; arrays are live views."""
@@ -83,6 +80,61 @@ class ModelWeights:
 
     def params(self) -> list[np.ndarray]:
         return [a for _, a in self.named_params()]
+
+
+def config_to_doc(config: MsTcnConfig) -> dict:
+    """Flat JSON-ready form of a config: the checkpoint body and run echoes."""
+    return {
+        "num_stages": config.num_stages,
+        "num_layers": config.stage.num_layers,
+        "num_filters": config.stage.num_filters,
+        "kernel_size": config.stage.kernel_size,
+        "in_channels": config.stage.in_channels,
+        "num_classes": config.stage.num_classes,
+        "lambda_tmse": config.loss.lambda_tmse,
+        "tau": config.loss.tau,
+        "epochs": config.epochs,
+        "lr": config.lr,
+        "seed": config.seed,
+    }
+
+
+def config_from_doc(doc) -> MsTcnConfig:
+    return MsTcnConfig(
+        num_stages=doc["num_stages"],
+        stage=SsTcnConfig(
+            num_layers=doc["num_layers"],
+            num_filters=doc["num_filters"],
+            kernel_size=doc["kernel_size"],
+            in_channels=doc["in_channels"],
+            num_classes=doc["num_classes"],
+        ),
+        loss=LossConfig(lambda_tmse=doc["lambda_tmse"], tau=doc["tau"]),
+        epochs=doc["epochs"],
+        lr=doc["lr"],
+        seed=doc["seed"],
+    )
+
+
+def weights_to_doc(weights: ModelWeights) -> dict:
+    """Checkpoint body: the config plus every parameter by name."""
+    return {
+        "config": config_to_doc(weights.config),
+        "params": {name: nncore.array_to_doc(a)
+                   for name, a in weights.named_params()},
+    }
+
+
+def weights_from_doc(doc) -> ModelWeights:
+    weights = build_mstcn(config_from_doc(doc["config"]))
+    params = doc["params"]
+    for name, arr in weights.named_params():
+        saved = nncore.array_from_doc(params[name])
+        if saved.shape != arr.shape:
+            raise ValueError(f"checkpoint parameter {name} has shape "
+                             f"{saved.shape}, expected {arr.shape}")
+        arr[...] = saved
+    return weights
 
 
 def _init_kernel(rng, k: int, cin: int, cout: int, dilation: int = 1) -> ConvKernel:

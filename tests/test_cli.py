@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from jumppipe import dataio
+from jumppipe import dataio, features
 from jumppipe.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_dispatch
 from jumppipe.segmentation import Segment
 
@@ -71,6 +71,17 @@ class TestErrors:
         rc = cli_dispatch(["extract-features", "--data", str(tmp_path),
                            "--out", str(tmp_path / "out")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_cell_names_line(self, tmp_path, capsys, cell):
+        header = ",".join(features.feature_names() + ["height_m"])
+        row = ",".join(["0.5"] * 146)
+        path = tmp_path / "features.csv"
+        path.write_text(f"{header}\n{row}\n\n{row[:-3]}{cell}\n")
+        rc = cli_dispatch(["fit-reg", "--features", str(path),
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert "features.csv:4: non-finite" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         rc = cli_dispatch(["eval-reg", "--model", str(tmp_path / "no.ckpt"),

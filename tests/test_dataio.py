@@ -40,6 +40,17 @@ class TestSessionCsv:
         with pytest.raises(ParseError, match=":3:"):
             read_session_csv(path)
 
+    @pytest.mark.parametrize("row", ["0.01,nan,1,0,0,0,0",
+                                     "0.01,0,1,0,0,0,inf",
+                                     "0.01,0,-inf,0,0,0,0",
+                                     "nan,0,1,0,0,0,0"])
+    def test_non_finite_cell_names_line(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,ax,ay,az,gx,gy,gz\n0,0,1,0,0,0,0\n{row}\n"
+                        "0.02,0,1,0,0,0,0\n")
+        with pytest.raises(ParseError, match=r"s\.csv:3:"):
+            read_session_csv(path)
+
     def test_irregular_timestamps_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,ax,ay,az,gx,gy,gz\n0,0,0,0,0,0,0\n0.5,0,0,0,0,0,0\n")
@@ -112,6 +123,14 @@ class TestAnnotationsAndHeights:
         with pytest.raises(ParseError, match="height"):
             read_heights(path)
 
+    @pytest.mark.parametrize("height", ["nan", "inf"])
+    def test_non_finite_height_rejected(self, tmp_path, height):
+        path = tmp_path / "h.csv"
+        path.write_text("subject_id,start_sample,end_sample,label,height_m\n"
+                        f"S00,0,10,CMJ,{height}\n")
+        with pytest.raises(ParseError, match=r"h\.csv:2: .*finite"):
+            read_heights(path)
+
     def test_ineligible_class_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("subject_id,start_sample,end_sample,label,height_m\n"
@@ -139,6 +158,9 @@ class TestCheckpoints:
             p2, l2 = tcn.predict(loaded, sess)
             assert p1.tobytes() == p2.tobytes()
             assert np.array_equal(l1, l2)
+        resaved = tmp_path / "m2.ckpt"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("kind", ["rf", "gbt", "mlp"])
     def test_regressor_round_trip_bit_identical(self, kind, tmp_path):
@@ -158,6 +180,57 @@ class TestCheckpoints:
         a = regression.predict(model, Xtest)
         b = regression.predict(loaded, Xtest)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        resaved = tmp_path / "r2.ckpt"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def _saved_doc(kind, tmp_path):
+        """A small saved checkpoint of `kind`, as its JSON document."""
+        if kind == "mstcn":
+            model = tcn.build_mstcn(tcn.MsTcnConfig(
+                num_stages=1, stage=tcn.SsTcnConfig(num_layers=1,
+                                                    num_filters=2)))
+        else:
+            X = np.random.default_rng(3).normal(size=(20, 3))
+            configs = {
+                "rf": regression.RfConfig(n_estimators=2),
+                "gbt": regression.GbtConfig(n_estimators=2),
+                "mlp": regression.MlpRegConfig(hidden_layers=(4,),
+                                               max_iter=2),
+            }
+            model = regression.fit(kind, X, X[:, 0], configs[kind])
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(model, path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("kind, field", [
+        ("mstcn", "kind"), ("mstcn", "config"), ("mstcn", "params"),
+        ("rf", "trees"), ("gbt", "eta"), ("gbt", "base"), ("mlp", "layers"),
+        ("mlp", "catalog_version"),
+    ])
+    def test_missing_field_named(self, kind, field, tmp_path):
+        doc = self._saved_doc(kind, tmp_path)
+        del doc[field]
+        path = tmp_path / "missing.ckpt"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=rf"missing\.ckpt: .*missing field '{field}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("rf", "catalog_version", 99, "catalog version 99.*version 1"),
+        ("gbt", "eta", 0.0, "eta"),
+        ("gbt", "eta", 1.5, "eta"),
+    ])
+    def test_out_of_range_field_rejected(self, kind, field, value, message,
+                                         tmp_path):
+        doc = self._saved_doc(kind, tmp_path)
+        doc[field] = value
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -55,9 +55,11 @@ class TestExtractSegments:
         segs = extract_segments(labels)
         recon = segments_to_labels(segs, len(labels))
         assert recon.tolist() == labels
-        # output covers exactly the non-background samples, sorted, disjoint
+        # output covers exactly the non-background samples, sorted, disjoint,
+        # and each run is maximal
         for a, b in zip(segs, segs[1:]):
             assert a.end <= b.start
+            assert a.end < b.start or a.class_id != b.class_id
 
 
 class TestSegmentsToLabels:
