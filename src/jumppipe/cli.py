@@ -299,21 +299,22 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="jumppipe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, seeded=False):
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=str, default=None,
                        help="key=value file; command-line flags override it")
         p.add_argument("--out", type=str, default=".")
 
     p = sub.add_parser("synth", help="generate synthetic labeled sessions")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--subjects", type=int, default=10)
     p.add_argument("--duration", type=float, default=170.0)
     p.add_argument("--noise", type=float, default=0.05)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train the MS-TCN on labeled sessions")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--data", required=True)
     _add_tcn_flags(p)
     p.set_defaults(func=_cmd_train)
@@ -341,7 +342,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_extract_features)
 
     p = sub.add_parser("fit-reg", help="fit a height regressor")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--features", required=True)
     p.add_argument("--kind", choices=["rf", "gbt", "mlp"], default="rf")
     p.set_defaults(func=_cmd_fit_reg)
@@ -353,7 +354,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval_reg)
 
     p = sub.add_parser("pipeline", help="full LOSO evaluation")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--data", required=True)
     _add_tcn_flags(p)
     p.add_argument("--regressor", choices=["rf", "gbt", "mlp"], default="rf")
@@ -364,7 +365,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("importance", help="permutation feature importance")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--repeats", type=int, default=10)

@@ -292,6 +292,8 @@ def load_checkpoint(path, expect: str | None = None):
     except KeyError as e:
         raise ValueError(f"{path}: {kind} checkpoint is missing field "
                          f"{e.args[0]!r}") from None
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ------------------------------------------------------ synthetic sessions

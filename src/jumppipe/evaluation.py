@@ -203,23 +203,27 @@ def _height_of(heights, subject_id, segment) -> float:
     return heights[key]
 
 
+def _labeled_jumps(sessions, height_records, vocab):
+    """(session, segment, height) of each annotated height-eligible segment."""
+    heights = _height_lookup(height_records)
+    for sess in sessions:
+        if sess.labels is None:
+            raise ValueError(f"session {sess.subject_id!r} has no labels")
+        for seg in segmentation.extract_segments(sess.labels, vocab):
+            if vocab.is_jump(seg.class_id):
+                yield sess, seg, _height_of(heights, sess.subject_id, seg)
+
+
 def feature_table(sessions, height_records, width: int = DEFAULT_ROI_WIDTH,
                   vocab=DEFAULT_VOCAB):
     """Feature matrix + height targets of every annotated height-eligible
     segment, session by session in temporal order."""
-    heights = _height_lookup(height_records)
     X, y = [], []
-    for sess in sessions:
-        if sess.labels is None:
-            raise ValueError(f"session {sess.subject_id!r} has no labels")
-        n = sess.samples.shape[0]
-        for seg in segmentation.extract_segments(sess.labels, vocab):
-            if not vocab.is_jump(seg.class_id):
-                continue
-            roi = segmentation.select_roi(seg, n, width)
-            window = segmentation.roi_window(roi, sess.samples)
-            X.append(feat.extract_feature_vector(window, seg.class_id, vocab))
-            y.append(_height_of(heights, sess.subject_id, seg))
+    for sess, seg, height in _labeled_jumps(sessions, height_records, vocab):
+        roi = segmentation.select_roi(seg, sess.samples.shape[0], width)
+        window = segmentation.roi_window(roi, sess.samples)
+        X.append(feat.extract_feature_vector(window, seg.class_id, vocab))
+        y.append(height)
     return np.asarray(X), np.asarray(y)
 
 
@@ -248,6 +252,8 @@ def run_pipeline_eval(
     by_subject = {s.subject_id: s for s in sessions}
     heights = _height_lookup(height_records)
     folds = loso_split(subjects)
+    # An unlabeled session or a missing height fails here, before training.
+    list(_labeled_jumps(sessions, height_records, vocab))
 
     eligible_names = [vocab.names[i] for i in vocab.eligible_ids()]
     count_rows_truth = {name: [] for name in [*eligible_names, "total"]}

@@ -76,16 +76,14 @@ class TrainedRegressor:
 # ---------------------------------------------------------------- trees
 
 @dataclass
-class TreeNode:
-    value: float = 0.0
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+class Tree:
+    """A regression tree as parallel per-node arrays. Node 0 is the root and
+    children come after their parent, so every walk ends at a leaf."""
+    feature: np.ndarray    # int64, -1 on leaves
+    threshold: np.ndarray  # float64; a row goes left if x[feature] <= it
+    left: np.ndarray       # int64 child index, -1 on leaves
+    right: np.ndarray      # int64 child index, -1 on leaves
+    value: np.ndarray      # float64 mean target of the node's rows
 
 
 def _best_split(X, y, idx, features):
@@ -131,7 +129,7 @@ def fit_tree(
     min_gain: float = 0.0,
     features_per_split: int | None = None,
     rng: np.random.Generator | None = None,
-) -> TreeNode:
+) -> Tree:
     """Fit one regression tree; best-first growth under the leaf budget."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -148,12 +146,11 @@ def fit_tree(
             return range(p)
         return np.sort(rng.choice(p, size=features_per_split, replace=False))
 
-    root = TreeNode(value=float(y.mean()))
-    heap = []
-    counter = 0
+    # One row per node: feature, threshold, left, right, value.
+    nodes = [[-1, 0.0, -1, -1, float(y.mean())]]
+    heap = []  # equal gains pop in node order, the order of creation
 
     def consider(node, idx, depth):
-        nonlocal counter
         if max_depth is not None and depth >= max_depth:
             return
         if idx.size < 2 or np.ptp(y[idx]) == 0:
@@ -161,36 +158,35 @@ def fit_tree(
         split = _best_split(X, y, idx, candidate_features())
         if split is None or split[0] <= min_gain:
             return
-        heapq.heappush(heap, (-split[0], counter, node, idx, depth, split))
-        counter += 1
+        heapq.heappush(heap, (-split[0], node, idx, depth, split))
 
-    consider(root, np.arange(X.shape[0]), 0)
-    leaves = 1
+    consider(0, np.arange(X.shape[0]), 0)
     while heap:
-        if max_leaf_nodes is not None and leaves >= max_leaf_nodes:
+        # Each split adds one leaf, so n nodes hold n // 2 + 1 leaves.
+        if max_leaf_nodes is not None and len(nodes) // 2 + 1 >= max_leaf_nodes:
             break
-        _, _, node, idx, depth, (gain, f, thr, order, cut) = heapq.heappop(heap)
+        _, node, idx, depth, (gain, f, thr, order, cut) = heapq.heappop(heap)
         left_idx = idx[order[:cut]]
         right_idx = idx[order[cut:]]
-        node.feature = f
-        node.threshold = thr
-        node.left = TreeNode(value=float(y[left_idx].mean()))
-        node.right = TreeNode(value=float(y[right_idx].mean()))
-        leaves += 1
-        consider(node.left, left_idx, depth + 1)
-        consider(node.right, right_idx, depth + 1)
-    return root
+        nodes[node][:4] = f, thr, len(nodes), len(nodes) + 1
+        nodes += [[-1, 0.0, -1, -1, float(y[i].mean())]
+                  for i in (left_idx, right_idx)]
+        consider(len(nodes) - 2, left_idx, depth + 1)
+        consider(len(nodes) - 1, right_idx, depth + 1)
+    return Tree(*(np.array(col) for col in zip(*nodes)))
 
 
-def predict_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
+def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Walk all rows down the tree together, one level per step."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.empty(X.shape[0])
-    for i, row in enumerate(X):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.value
-    return out
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        rows = rows[tree.feature[node[rows]] >= 0]
+        at = node[rows]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.value[node]
 
 
 def _check_input(model: TrainedRegressor, X) -> np.ndarray:
@@ -351,27 +347,33 @@ def fit(kind: str, X, y, config=None):
 
 # ----------------------------------------------------- checkpoint body
 
-def _tree_to_doc(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": float(node.value)}
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _tree_to_doc(node.left),
-        "right": _tree_to_doc(node.right),
-    }
+# Field -> the JSON value types it accepts; the last one is its array dtype.
+_TREE_FIELDS = {"feature": (int,), "threshold": (int, float),
+                "left": (int,), "right": (int,), "value": (int, float)}
 
 
-def _tree_from_doc(doc) -> TreeNode:
-    if "leaf" in doc:
-        return TreeNode(value=doc["leaf"])
-    return TreeNode(
-        value=0.0,
-        feature=doc["feature"],
-        threshold=doc["threshold"],
-        left=_tree_from_doc(doc["left"]),
-        right=_tree_from_doc(doc["right"]),
-    )
+def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
+    """Per-node arrays from a checkpoint, checked so that every walk from the
+    root ends at a leaf."""
+    n = len(doc["feature"]) if isinstance(doc["feature"], list) else 0
+    for name, types in _TREE_FIELDS.items():
+        col = doc[name]
+        if not (n and isinstance(col, list) and len(col) == n
+                and all(type(v) in types for v in col)):
+            raise ValueError(f"{where}.{name} must be a list of "
+                             f"{n or 'one or more'} {types[-1].__name__}s")
+    tree = Tree(*(np.array(doc[name], dtype=types[-1])
+                  for name, types in _TREE_FIELDS.items()))
+    if tree.feature.min() < -1 or tree.feature.max() >= input_dim:
+        raise ValueError(f"{where}.feature must lie in [-1, {input_dim})")
+    inner = np.flatnonzero(tree.feature >= 0)
+    for name in ("left", "right"):
+        child = getattr(tree, name)
+        bad = inner[(child[inner] <= inner) | (child[inner] >= n)]
+        if bad.size:
+            raise ValueError(f"{where}.{name}[{bad[0]}] is {child[bad[0]]}; an "
+                             f"inner node's child must lie in ({bad[0]}, {n})")
+    return tree
 
 
 def to_doc(model: TrainedRegressor) -> dict:
@@ -379,12 +381,12 @@ def to_doc(model: TrainedRegressor) -> dict:
     doc = {"input_dim": model.input_dim,
            "catalog_version": model.catalog_version}
     pl = model.payload
-    if model.kind == "rf":
-        doc["trees"] = [_tree_to_doc(t) for t in pl["trees"]]
-    elif model.kind == "gbt":
-        doc["base"] = pl["base"]
-        doc["eta"] = pl["eta"]
-        doc["trees"] = [_tree_to_doc(t) for t in pl["trees"]]
+    if model.kind in ("rf", "gbt"):
+        if model.kind == "gbt":
+            doc["base"] = pl["base"]
+            doc["eta"] = pl["eta"]
+        doc["trees"] = [{name: getattr(t, name).tolist() for name in _TREE_FIELDS}
+                        for t in pl["trees"]]
     elif model.kind == "mlp":
         doc["mu"] = nncore.array_to_doc(pl["mu"])
         doc["sigma"] = nncore.array_to_doc(pl["sigma"])
@@ -404,12 +406,17 @@ def from_doc(kind: str, doc) -> TrainedRegressor:
             f"regressor was fit on feature catalog version "
             f"{doc['catalog_version']}, this build extracts version "
             f"{CATALOG_VERSION}")
-    if kind == "rf":
-        payload = {"trees": [_tree_from_doc(t) for t in doc["trees"]]}
-    elif kind == "gbt":
-        _check_eta(doc["eta"])
-        payload = {"base": doc["base"], "eta": doc["eta"],
-                   "trees": [_tree_from_doc(t) for t in doc["trees"]]}
+    input_dim = doc["input_dim"]
+    if kind in ("rf", "gbt"):
+        trees = doc["trees"]
+        if not isinstance(trees, list) or (kind == "rf" and not trees):
+            raise ValueError("field 'trees' must be a list of trees, one or "
+                             "more for rf")
+        payload = {"trees": [_tree_from_doc(t, input_dim, f"trees[{k}]")
+                             for k, t in enumerate(trees)]}
+        if kind == "gbt":
+            _check_eta(doc["eta"])
+            payload.update(base=doc["base"], eta=doc["eta"])
     elif kind == "mlp":
         payload = {
             "mu": nncore.array_from_doc(doc["mu"]),
@@ -420,10 +427,14 @@ def from_doc(kind: str, doc) -> TrainedRegressor:
                 for l in doc["layers"]
             ],
         }
+        widths = [payload["mu"].shape, payload["sigma"].shape,
+                  tuple(l.in_channels for l in payload["layers"][:1])]
+        if widths != [(input_dim,)] * 3:
+            raise ValueError(f"field 'input_dim' is {input_dim}, but mu, sigma "
+                             f"and the first layer have widths {widths}")
     else:
         raise ValueError(f"unknown regressor kind {kind!r}")
-    return TrainedRegressor(kind, payload, doc["input_dim"],
-                            doc["catalog_version"])
+    return TrainedRegressor(kind, payload, input_dim, doc["catalog_version"])
 
 
 # --------------------------------------------------------- importance

@@ -57,6 +57,16 @@ class TestErrors:
         assert rc == EXIT_VALIDATION
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "m.ckpt", "--session", "s.csv"],
+        ["eval-seg", "--pred", "p.csv", "--truth", "t.csv"],
+        ["extract-features", "--data", "d"],
+        ["eval-reg", "--model", "m.ckpt", "--features", "f.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_refused_where_unused(self, argv, capsys):
+        assert cli_dispatch([*argv, "--seed", "1"]) == EXIT_VALIDATION
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert cli_dispatch(["frobnicate"]) == EXIT_VALIDATION
 

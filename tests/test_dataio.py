@@ -183,6 +183,16 @@ class TestCheckpoints:
         resaved = tmp_path / "r2.ckpt"
         save_checkpoint(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
+        doc = json.loads(path.read_text())
+        for tree in doc.get("trees", []):
+            n = len(tree["feature"])
+            assert n >= 1
+            assert all(len(tree[f]) == n for f in ("threshold", "left",
+                                                    "right", "value"))
+            for i, f in enumerate(tree["feature"]):
+                assert -1 <= f < doc["input_dim"]
+                if f >= 0:
+                    assert i < tree["left"][i] < n and i < tree["right"][i] < n
 
     @staticmethod
     def _saved_doc(kind, tmp_path):
@@ -222,6 +232,7 @@ class TestCheckpoints:
         ("rf", "catalog_version", 99, "catalog version 99.*version 1"),
         ("gbt", "eta", 0.0, "eta"),
         ("gbt", "eta", 1.5, "eta"),
+        ("mlp", "input_dim", 2, "input_dim' is 2, but mu"),
     ])
     def test_out_of_range_field_rejected(self, kind, field, value, message,
                                          tmp_path):
@@ -230,6 +241,28 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("trees", 0, "left", 0), 0, r"trees\[0\]\.left\[0\] is 0"),
+        (("trees", 1, "threshold"), [0.5] * 40,
+         r"trees\[1\]\.threshold must be a list of \d+ floats"),
+        (("trees", 0, "feature", 0), 3,
+         r"trees\[0\]\.feature must lie in \[-1, 3\)"),
+        (("trees",), 5, "'trees' must be a list"),
+        (("trees",), [], "'trees' must be a list of trees, one or more for rf"),
+        (("trees",), [{"leaf": 2.5}], "missing field 'feature'"),
+    ], ids=["self-loop", "threshold-length", "feature-range", "trees-int",
+            "rf-no-trees", "nested-body"])
+    def test_malformed_tree_rejected(self, keys, value, message, tmp_path):
+        doc = self._saved_doc("rf", tmp_path)
+        target = doc
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"bad\.ckpt: .*{message}"):
             load_checkpoint(path)
 
     def test_corrupted_magic(self, tmp_path):

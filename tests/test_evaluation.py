@@ -239,6 +239,26 @@ class TestPipelinePlumbing:
         with pytest.raises(ValueError, match="missing height"):
             run_pipeline_eval(sessions, heights[:-1], tcn.MsTcnConfig(epochs=0))
 
+    @pytest.mark.parametrize("defect, message", [
+        ("height", "missing height for segment .* of subject 'S00'"),
+        ("labels", "session 'S02' has no labels"),
+    ])
+    def test_bad_input_fails_before_training(self, tiny_dataset, monkeypatch,
+                                             defect, message):
+        sessions, heights = tiny_dataset
+        if defect == "height":
+            heights = [r for r in heights if r.subject_id != "S00"]
+        else:
+            sessions = [*sessions[:2],
+                        dataio.ImuSession("S02", sessions[2].samples)]
+
+        def no_training(cfg, s):
+            raise AssertionError("training started before input was checked")
+
+        monkeypatch.setattr(ev.tcn, "train", no_training)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline_eval(sessions, heights, tcn.MsTcnConfig(epochs=0))
+
     def test_report_serialization_schema(self, tiny_dataset, monkeypatch):
         sessions, heights = tiny_dataset
         monkeypatch.setattr(ev.tcn, "train", lambda cfg, s: (None, []))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumppipe import regression as reg
 from jumppipe.nncore import DimensionError
@@ -28,12 +30,21 @@ def brute_force_root_split(X, y):
     return best
 
 
+def scalar_walk(tree, row):
+    """Reference walk: follow one row from the root to its leaf."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
 class TestTree:
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).normal(size=(20, 3))
         tree = fit_tree(X, np.full(20, 2.5))
-        assert tree.is_leaf
-        assert tree.value == 2.5
+        assert tree.feature.tolist() == [-1]
+        assert tree.value.tolist() == [2.5]
 
     def test_one_split_suffices(self):
         rng = np.random.default_rng(1)
@@ -41,8 +52,9 @@ class TestTree:
                             rng.uniform(1, 2, size=(20, 1))])
         y = (X[:, 0] > 0).astype(float)
         tree = fit_tree(X, y)
-        assert not tree.is_leaf
-        assert tree.left.is_leaf and tree.right.is_leaf
+        assert tree.feature[0] >= 0
+        children = [tree.left[0], tree.right[0]]
+        assert tree.feature[children].tolist() == [-1, -1]
         np.testing.assert_allclose(predict_tree(tree, X), y)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -52,21 +64,15 @@ class TestTree:
         y = rng.normal(size=50)
         tree = fit_tree(X, y, max_depth=1)
         gain, f, thr = brute_force_root_split(X, y)
-        assert tree.feature == f
-        assert tree.threshold == pytest.approx(thr)
+        assert tree.feature[0] == f
+        assert tree.threshold[0] == pytest.approx(thr)
 
     def test_max_leaf_nodes_budget(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(100, 4))
         y = rng.normal(size=100)
         tree = fit_tree(X, y, max_leaf_nodes=5)
-
-        def count_leaves(node):
-            if node.is_leaf:
-                return 1
-            return count_leaves(node.left) + count_leaves(node.right)
-
-        assert count_leaves(tree) <= 5
+        assert (tree.feature < 0).sum() <= 5
 
     def test_memorizing_tree_exact_on_training_rows(self):
         rng = np.random.default_rng(3)
@@ -78,6 +84,21 @@ class TestTree:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fit_tree(np.zeros((0, 2)), np.zeros(0))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vectorized_walk_matches_scalar_walk(self, data):
+        n = data.draw(st.integers(1, 30))
+        p = data.draw(st.integers(1, 4))
+        cells = st.lists(st.integers(-3, 3), min_size=n * (p + 1),
+                         max_size=n * (p + 1))
+        table = np.array(data.draw(cells), dtype=float).reshape(n, p + 1)
+        X, y = table[:, :p], table[:, p]
+        tree = fit_tree(X, y, max_depth=data.draw(st.none() | st.integers(1, 4)))
+        # Rows on the thresholds themselves exercise the `<=` boundary.
+        query = np.vstack([X, X + 0.5, np.repeat(tree.threshold[:, None], p, 1)])
+        expected = np.array([scalar_walk(tree, row) for row in query])
+        assert predict_tree(tree, query).tobytes() == expected.tobytes()
 
 
 def linear_fixture(seed=0, n=200, p=5, noise=0.1):
@@ -244,7 +265,7 @@ class TestPermutationImportance:
                                             "config": RfConfig()}, 3)
         ranked = permutation_importance(model, X, y, repeats=5, seed=0)
         by_feature = dict(ranked)
-        unused = [f for f in (1, 2) if f != tree.feature]
+        unused = [f for f in (1, 2) if f != tree.feature[0]]
         for f in unused:
             assert by_feature[f] == 0.0
 
