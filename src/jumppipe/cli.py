@@ -16,12 +16,9 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__, dataio, evaluation, features, regression
 from . import segmentation as seg
 from . import tcn
-from .dataio import ParseError
 from .nncore import DimensionError
 
 EXIT_OK = 0
@@ -89,40 +86,6 @@ def _add_tcn_flags(p, stages=2, layers=7, filters=16, epochs=20, lr=1e-3):
     p.add_argument("--filters", type=int, default=filters)
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--lr", type=float, default=lr)
-
-
-def _read_feature_csv(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    expected = features.feature_names() + ["height_m"]
-    if not lines or lines[0].split(",") != expected:
-        raise ParseError(path, 1, "bad feature-matrix header")
-    X, y = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(expected):
-            raise ParseError(path, ln, f"expected {len(expected)} cells")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError:
-            raise ParseError(path, ln, "non-numeric cell") from None
-        X.append(vals[:-1])
-        y.append(vals[-1])
-    if not X:
-        raise ParseError(path, 2, "no data rows")
-    X, y = np.asarray(X), np.asarray(y)
-    dataio.reject_non_finite(path, lines, np.column_stack([X, y]))
-    return X, y
-
-
-def _write_feature_csv(X, y, path):
-    header = ",".join(features.feature_names() + ["height_m"])
-    lines = [header]
-    for row, h in zip(X, y):
-        lines.append(",".join(f"{v:.9g}" for v in [*row, h]))
-    dataio.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------- subcommands
@@ -207,7 +170,7 @@ def _cmd_extract_features(args):
     X, y = evaluation.feature_table(sessions, heights, args.width)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "features.csv")
-    _write_feature_csv(X, y, path)
+    dataio.write_feature_csv(X, y, path)
     _write_manifest(args.out, "extract-features", {"width": args.width},
                     [args.data], [path])
     _log(f"{X.shape[0]} feature rows -> {path}")
@@ -215,10 +178,10 @@ def _cmd_extract_features(args):
 
 
 def _cmd_fit_reg(args):
-    X, y = _read_feature_csv(args.features)
+    X, y = dataio.read_feature_csv(args.features)
     configs = {
         "rf": regression.RfConfig(seed=args.seed),
-        "gbt": regression.GbtConfig(seed=args.seed),
+        "gbt": regression.GbtConfig(),
         "mlp": regression.MlpRegConfig(seed=args.seed),
     }
     model = regression.fit(args.kind, X, y, configs[args.kind])
@@ -234,7 +197,7 @@ def _cmd_fit_reg(args):
 
 def _cmd_eval_reg(args):
     model = dataio.load_checkpoint(args.model, expect="regressor")
-    X, y = _read_feature_csv(args.features)
+    X, y = dataio.read_feature_csv(args.features)
     pred = regression.predict(model, X)
     metrics = evaluation.reg_metrics(y, pred)
     os.makedirs(args.out, exist_ok=True)
@@ -264,9 +227,7 @@ def _cmd_pipeline(args):
         path, json.dumps(evaluation.report_to_dict(report), indent=2)
     )
     ba_path = os.path.join(args.out, "bland_altman.csv")
-    ba_lines = ["mean_m,diff_m"]
-    ba_lines += [f"{m:.9g},{d:.9g}" for m, d in report.bland_altman_points]
-    dataio.atomic_write_text(ba_path, "\n".join(ba_lines) + "\n")
+    dataio.write_csv(ba_path, ["mean_m", "diff_m"], report.bland_altman_points)
     _write_manifest(args.out, "pipeline", report.config_echo,
                     [args.data], [path, ba_path])
     _log(f"F1 = {report.seg_metrics.overall.f1:.4f}, "
@@ -276,16 +237,15 @@ def _cmd_pipeline(args):
 
 def _cmd_importance(args):
     model = dataio.load_checkpoint(args.model, expect="regressor")
-    X, y = _read_feature_csv(args.features)
+    X, y = dataio.read_feature_csv(args.features)
     ranked = regression.permutation_importance(model, X, y,
                                                repeats=args.repeats,
                                                seed=args.seed)
     names = features.feature_names()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "importance.csv")
-    lines = ["feature,importance"]
-    lines += [f"{names[j]},{v:.9g}" for j, v in ranked]
-    dataio.atomic_write_text(path, "\n".join(lines) + "\n")
+    dataio.write_csv(path, ["feature", "importance"],
+                     ((names[j], v) for j, v in ranked))
     _write_manifest(args.out, "importance",
                     {"repeats": args.repeats, "seed": args.seed},
                     [args.model, args.features], [path])
@@ -408,8 +368,8 @@ def cli_dispatch(argv: list[str]) -> int:
     except OSError as e:
         _log(f"I/O error: {e}")
         return EXIT_IO
-    except (ParseError, ValueError, DimensionError, KeyError,
-            FloatingPointError, TypeError) as e:
+    except (ValueError, DimensionError, KeyError, FloatingPointError,
+            TypeError) as e:  # a dataio.ParseError is a ValueError
         _log(f"error: {e}")
         return EXIT_VALIDATION
 

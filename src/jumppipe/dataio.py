@@ -1,4 +1,5 @@
-"""Persistence and data generation: session/annotation/height CSV files,
+"""Persistence and data generation: the one CSV codec and the tables read
+and written through it (sessions, annotations, heights, the feature matrix),
 versioned model checkpoints, and the synthetic volleyball-session generator
 used for desk-scale verification.
 """
@@ -14,11 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regression, tcn
+from .features import SAMPLE_RATE_HZ, feature_names
 from .segmentation import DEFAULT_VOCAB, ClassVocabulary, Segment
 
-SAMPLE_RATE_HZ = 100
 GRAVITY = 9.81
 SESSION_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
+ANNOTATIONS_HEADER = "start_sample,end_sample,label".split(",")
+HEIGHTS_HEADER = "subject_id,start_sample,end_sample,label,height_m".split(",")
 CHECKPOINT_MAGIC = "JUMPPIPE-CKPT"
 CHECKPOINT_VERSION = 1
 
@@ -37,7 +40,6 @@ class ImuSession:
     subject_id: str
     samples: np.ndarray  # (N, 6) float64: ax, ay, az in g; gx, gy, gz in deg/s
     labels: np.ndarray | None = None
-    sample_rate_hz: int = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -76,178 +78,179 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-# ------------------------------------------------------------- session CSV
+# ------------------------------------------------------------------- CSV
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+def read_csv(path, *headers):
+    """Read a comma-separated table whose first line is one of `headers`.
+
+    Returns the header found and the (line number, cells) of each non-blank
+    line after it. A header that is none of `headers`, or a row whose cell
+    count differs from its header's, raises a ParseError at its line.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",") if lines else []
+    if header not in headers:
+        expect = " or ".join(repr(",".join(h)) for h in headers)
+        raise ParseError(path, 1, f"bad header, expected {expect}")
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if line:
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ParseError(path, ln, f"expected {len(header)} cells, "
+                                           f"got {len(cells)}")
+            rows.append((ln, cells))
+    return header, rows
 
 
-def write_session_csv(session: ImuSession, path,
-                      vocab: ClassVocabulary = DEFAULT_VOCAB) -> None:
-    header = list(SESSION_HEADER)
-    if session.labels is not None:
-        header.append("label")
+def write_csv(path, header, rows) -> None:
+    """Write a table of tuples: floats with nine significant digits, which
+    read back to the same text, and strings and integers as they are. Each
+    column is formatted by the type of its cell in the first row."""
+    rows = iter(rows)
     lines = [",".join(header)]
-    dt = 1.0 / session.sample_rate_hz
-    for i, row in enumerate(session.samples):
-        cells = [_fmt(i * dt)] + [_fmt(v) for v in row]
-        if session.labels is not None:
-            cells.append(vocab.names[session.labels[i]])
-        lines.append(",".join(cells))
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join("%.9g" if isinstance(v, (float, np.floating)) else "%s"
+                       for v in first)
+        lines.append(fmt % first)
+        lines += [fmt % row for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def reject_non_finite(path, lines, table: np.ndarray) -> None:
-    """Raise a ParseError naming the first line with a nan or inf cell.
+def _float_table(path, rows, ncols: int) -> np.ndarray:
+    """The first `ncols` cells of each row as finite float64s; no rows, or
+    the first row with a non-numeric or non-finite cell, raise a ParseError."""
+    if not rows:
+        raise ParseError(path, 2, "no data rows")
+    cells = np.array([c for _, c in rows], dtype=object)[:, :ncols]
+    try:
+        table = cells.astype(np.float64)  # float() on each cell
+        if np.isfinite(table).all():
+            return table
+    except ValueError:
+        pass
+    for ln, row in rows:
+        try:
+            values = [float(c) for c in row[:ncols]]
+        except ValueError as e:
+            raise ParseError(path, ln, f"non-numeric cell: {e}") from None
+        if not np.isfinite(values).all():
+            raise ParseError(path, ln, "non-finite cell (nan or inf)")
 
-    Row i of the (rows, columns) `table` holds the i-th non-blank line after
-    the header of `lines`.
-    """
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        data_lines = [ln for ln, line in enumerate(lines[1:], start=2) if line]
-        raise ParseError(path, data_lines[int(finite.argmin())],
-                         "non-finite cell (nan or inf)")
+
+# ------------------------------------------------------------- session CSV
+
+def write_session_csv(session: ImuSession, path,
+                      vocab: ClassVocabulary = DEFAULT_VOCAB) -> None:
+    dt = 1.0 / SAMPLE_RATE_HZ
+    rows = ((i * dt, *row) for i, row in enumerate(session.samples))
+    header = SESSION_HEADER
+    if session.labels is not None:
+        header = header + ["label"]
+        rows = ((*row, vocab.names[c]) for row, c in zip(rows, session.labels))
+    write_csv(path, header, rows)
 
 
 def read_session_csv(path, subject_id: str | None = None,
                      vocab: ClassVocabulary = DEFAULT_VOCAB) -> ImuSession:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    header = lines[0].split(",")
-    has_label = header == SESSION_HEADER + ["label"]
-    if not has_label and header != SESSION_HEADER:
-        expect = ",".join(SESSION_HEADER)
-        raise ParseError(path, 1,
-                         f"bad header {lines[0]!r}, expected {expect!r}"
-                         " with optional trailing 'label'")
-    rows, labels = [], []
-    dt = 1.0 / SAMPLE_RATE_HZ
-    ncols = len(header)
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != ncols:
-            raise ParseError(path, ln, f"expected {ncols} cells, got {len(cells)}")
+    header, rows = read_csv(path, SESSION_HEADER, SESSION_HEADER + ["label"])
+    table = _float_table(path, rows, len(SESSION_HEADER))
+    # the timestamp follows the line number: a blank line skips a sample
+    expected = (np.array([ln for ln, _ in rows]) - 2) * (1.0 / SAMPLE_RATE_HZ)
+    irregular = ~(np.abs(table[:, 0] - expected) <= 1e-6)
+    if irregular.any():
+        i = int(irregular.argmax())
+        raise ParseError(path, rows[i][0],
+                         f"irregular timestamp {table[i, 0]}, "
+                         f"expected {expected[i]:.2f}")
+    labels = None
+    if len(header) > len(SESSION_HEADER):
         try:
-            t = float(cells[0])
-            values = [float(c) for c in cells[1:7]]
-        except ValueError as e:
-            raise ParseError(path, ln, f"non-numeric cell: {e}") from None
-        expected_t = (ln - 2) * dt
-        if not abs(t - expected_t) <= 1e-6:  # also rejects a nan timestamp
-            raise ParseError(path, ln,
-                             f"irregular timestamp {t}, expected {expected_t:.2f}")
-        rows.append(values)
-        if has_label:
-            try:
-                labels.append(vocab.index(cells[7]))
-            except KeyError as e:
-                raise ParseError(path, ln, str(e)) from None
-    if not rows:
-        raise ParseError(path, 2, "no data rows")
-    samples = np.array(rows)
-    reject_non_finite(path, lines, samples)
+            labels = [vocab.index(cells[-1]) for _, cells in rows]
+        except KeyError as e:
+            ln = next(ln for ln, cells in rows if cells[-1] not in vocab.names)
+            raise ParseError(path, ln, str(e)) from None
     if subject_id is None:
         subject_id = os.path.splitext(os.path.basename(path))[0]
-    return ImuSession(
-        subject_id=subject_id,
-        samples=samples,
-        labels=np.array(labels) if has_label else None,
-    )
+    return ImuSession(subject_id, np.ascontiguousarray(table[:, 1:]), labels)
 
 
 # ------------------------------------------------- annotations and heights
 
-def _check_segments_valid(segments, path):
-    ordered = sorted(segments, key=lambda s: s.start)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.start < a.end:
-            raise ParseError(path, 0, f"overlapping segments {a} and {b}")
+def _segment(path, ln, start, end, label, vocab) -> Segment:
+    try:
+        start, end = int(start), int(end)
+    except ValueError:
+        raise ParseError(path, ln, "non-integer sample index") from None
+    try:
+        cid = vocab.index(label)
+    except KeyError as e:
+        raise ParseError(path, ln, str(e)) from None
+    if end <= start:
+        raise ParseError(path, ln, f"reversed interval [{start}, {end})")
+    return Segment(start, end, cid)
 
 
 def read_annotations(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[Segment]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "start_sample,end_sample,label":
-        raise ParseError(path, 1, "expected header 'start_sample,end_sample,label'")
-    segments = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ParseError(path, ln, "expected 3 cells")
-        try:
-            start, end = int(cells[0]), int(cells[1])
-        except ValueError:
-            raise ParseError(path, ln, "non-integer sample index") from None
-        try:
-            cid = vocab.index(cells[2])
-        except KeyError as e:
-            raise ParseError(path, ln, str(e)) from None
-        if end <= start:
-            raise ParseError(path, ln, f"reversed interval [{start}, {end})")
-        segments.append(Segment(start, end, cid))
-    _check_segments_valid(segments, path)
-    return segments
+    _, rows = read_csv(path, ANNOTATIONS_HEADER)
+    found = [(_segment(path, ln, *cells, vocab), ln) for ln, cells in rows]
+    ordered = sorted(found)
+    for (a, la), (b, lb) in zip(ordered, ordered[1:]):
+        if b.start < a.end:
+            raise ParseError(path, max(la, lb), f"overlapping segments {a} "
+                             f"and {b} (lines {la} and {lb})")
+    return [s for s, _ in found]
 
 
 def write_annotations(segments, path,
                       vocab: ClassVocabulary = DEFAULT_VOCAB) -> None:
-    lines = ["start_sample,end_sample,label"]
-    for seg in segments:
-        lines.append(f"{seg.start},{seg.end},{vocab.names[seg.class_id]}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-HEIGHTS_HEADER = "subject_id,start_sample,end_sample,label,height_m"
+    write_csv(path, ANNOTATIONS_HEADER,
+              ((s.start, s.end, vocab.names[s.class_id]) for s in segments))
 
 
 def read_heights(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[HeightRecord]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != HEIGHTS_HEADER:
-        raise ParseError(path, 1, f"expected header {HEIGHTS_HEADER!r}")
-    records = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ParseError(path, ln, "expected 5 cells")
+    _, rows = read_csv(path, HEIGHTS_HEADER)
+    records, first_line = [], {}
+    for ln, (subject, start, end, label, height) in rows:
+        segment = _segment(path, ln, start, end, label, vocab)
         try:
-            start, end = int(cells[1]), int(cells[2])
-            height = float(cells[4])
+            height = float(height)
         except ValueError:
             raise ParseError(path, ln, "non-numeric cell") from None
-        try:
-            cid = vocab.index(cells[3])
-        except KeyError as e:
-            raise ParseError(path, ln, str(e)) from None
-        if end <= start:
-            raise ParseError(path, ln, f"reversed interval [{start}, {end})")
         if not 0 < height < math.inf:  # also rejects nan
             raise ParseError(path, ln,
                              f"height must be positive and finite, got {height}")
-        if not vocab.is_jump(cid):
-            raise ParseError(path, ln,
-                             f"class {cells[3]!r} is not height-eligible")
-        records.append(HeightRecord(cells[0], Segment(start, end, cid), height))
+        if not vocab.is_jump(segment.class_id):
+            raise ParseError(path, ln, f"class {label!r} is not height-eligible")
+        key = (subject, segment)
+        if key in first_line:
+            raise ParseError(path, ln, f"duplicate height for {subject} "
+                             f"{segment}, first given at line {first_line[key]}")
+        first_line[key] = ln
+        records.append(HeightRecord(subject, segment, height))
     return records
 
 
 def write_heights(records, path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> None:
-    lines = [HEIGHTS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.subject_id},{r.segment.start},{r.segment.end},"
-            f"{vocab.names[r.segment.class_id]},{_fmt(r.height_m)}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, HEIGHTS_HEADER,
+              ((r.subject_id, r.segment.start, r.segment.end,
+                vocab.names[r.segment.class_id], r.height_m) for r in records))
+
+
+# --------------------------------------------------------- feature matrix
+
+def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix X and height targets y of a `features.csv`."""
+    header, rows = read_csv(path, feature_names() + ["height_m"])
+    table = _float_table(path, rows, len(header))
+    return table[:, :-1], table[:, -1]
+
+
+def write_feature_csv(X, y, path) -> None:
+    write_csv(path, feature_names() + ["height_m"],
+              ((*row, h) for row, h in zip(X, y)))
 
 
 # ----------------------------------------------------------- checkpoints

@@ -217,14 +217,15 @@ def _labeled_jumps(sessions, height_records, vocab):
 def feature_table(sessions, height_records, width: int = DEFAULT_ROI_WIDTH,
                   vocab=DEFAULT_VOCAB):
     """Feature matrix + height targets of every annotated height-eligible
-    segment, session by session in temporal order."""
+    segment, session by session in temporal order (zero rows if none)."""
     X, y = [], []
     for sess, seg, height in _labeled_jumps(sessions, height_records, vocab):
         roi = segmentation.select_roi(seg, sess.samples.shape[0], width)
         window = segmentation.roi_window(roi, sess.samples)
         X.append(feat.extract_feature_vector(window, seg.class_id, vocab))
         y.append(height)
-    return np.asarray(X), np.asarray(y)
+    n_features = len(feat.feature_names(vocab))
+    return np.asarray(X).reshape(-1, n_features), np.asarray(y)
 
 
 def run_pipeline_eval(
@@ -252,8 +253,10 @@ def run_pipeline_eval(
     by_subject = {s.subject_id: s for s in sessions}
     heights = _height_lookup(height_records)
     folds = loso_split(subjects)
-    # An unlabeled session or a missing height fails here, before training.
-    list(_labeled_jumps(sessions, height_records, vocab))
+    # Each subject's ground-truth table, built once for every fold; an
+    # unlabeled session or a missing height fails here, before training.
+    tables = {s.subject_id: feature_table([s], height_records, width, vocab)
+              for s in sessions}
 
     eligible_names = [vocab.names[i] for i in vocab.eligible_ids()]
     count_rows_truth = {name: [] for name in [*eligible_names, "total"]}
@@ -287,8 +290,8 @@ def run_pipeline_eval(
             count_rows_truth[name].append(tc[name])
             count_rows_pred[name].append(pc[name])
 
-        X_train, y_train = feature_table(train_sessions, height_records,
-                                         width, vocab)
+        X_train, y_train = map(np.concatenate, zip(
+            *[tables[s] for s in fold.train_subjects]))
         model = regression.fit(regressor_kind, X_train, y_train,
                                regressor_config)
         n = test_session.samples.shape[0]

@@ -13,7 +13,7 @@ import numpy as np
 from .segmentation import DEFAULT_VOCAB, ClassVocabulary
 
 CATALOG_VERSION = 1
-SAMPLE_RATE_HZ = 100.0
+SAMPLE_RATE_HZ = 100  # of every IMU session
 CHANNEL_NAMES = ("ax", "ay", "az", "gx", "gy", "gz")
 
 TIME_FEATURES = (

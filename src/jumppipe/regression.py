@@ -44,7 +44,6 @@ class GbtConfig:
     n_estimators: int = 100
     max_depth: int = 6
     gamma: float = 0.0  # minimum split gain
-    seed: int = 0
 
     def __post_init__(self):
         _check_eta(self.eta)

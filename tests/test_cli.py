@@ -158,6 +158,21 @@ class TestRegressionChain:
         assert doc["n"] == 8
         assert doc["rmse"] < 0.2  # in-sample fit on its own training rows
 
+    def test_gbt_checkpoint_does_not_depend_on_seed(self, small_dataset,
+                                                    tmp_path):
+        cli_dispatch(["extract-features", "--data", str(small_dataset),
+                      "--out", str(tmp_path / "feat")])
+        checkpoints = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"gbt{seed}"
+            rc = cli_dispatch(["fit-reg",
+                               "--features", str(tmp_path / "feat/features.csv"),
+                               "--kind", "gbt", "--seed", seed,
+                               "--out", str(out)])
+            assert rc == EXIT_OK
+            checkpoints.append((out / "regressor.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     def test_importance_ranks_features(self, small_dataset, tmp_path):
         feat_dir = tmp_path / "feat"
         cli_dispatch(["extract-features", "--data", str(small_dataset),

@@ -1,17 +1,83 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from jumppipe import dataio, regression, segmentation as seg, tcn
+from jumppipe import dataio, features, regression, segmentation as seg, tcn
 from jumppipe.dataio import (HeightRecord, ImuSession, ParseError,
                              SyntheticConfig, flight_time_s, load_checkpoint,
-                             read_annotations, read_heights, read_session_csv,
-                             save_checkpoint, synth_generate,
-                             write_annotations, write_heights,
+                             read_annotations, read_feature_csv, read_heights,
+                             read_session_csv, save_checkpoint,
+                             synth_generate, write_annotations,
+                             write_feature_csv, write_heights,
                              write_session_csv)
 from jumppipe.segmentation import Segment
+
+# Every table read through `dataio.read_csv`: its reader, its header, a valid
+# row for a given line number, and the index of a numeric cell in that row.
+CSV_TABLES = {
+    "session": (read_session_csv, dataio.SESSION_HEADER,
+                lambda ln: [f"{(ln - 2) / 100}", "0", "1", "0", "0", "0", "0"],
+                1),
+    "annotations": (read_annotations, dataio.ANNOTATIONS_HEADER,
+                    lambda ln: [f"{100 * ln}", f"{100 * ln + 10}", "CMJ"], 0),
+    "heights": (read_heights, dataio.HEIGHTS_HEADER,
+                lambda ln: ["S00", f"{100 * ln}", f"{100 * ln + 10}", "CMJ",
+                            "0.3"], 4),
+    "features": (read_feature_csv, features.feature_names() + ["height_m"],
+                 lambda ln: ["0.5"] * 146, 0),
+}
+
+
+class TestCsvCodec:
+    @pytest.mark.parametrize("table", CSV_TABLES)
+    def test_bad_header_names_line_1(self, tmp_path, table):
+        read, header, row, _ = CSV_TABLES[table]
+        path = tmp_path / f"{table}.csv"
+        path.write_text(",".join(["bogus", *header[1:]]) + "\n"
+                        + ",".join(row(2)) + "\n")
+        with pytest.raises(ParseError, match=rf"{table}\.csv:1: bad header"):
+            read(path)
+
+    @pytest.mark.parametrize("blank", [False, True],
+                             ids=["no-blank-line", "after-blank-line"])
+    @pytest.mark.parametrize("fault", ["short-row", "non-numeric", "nan",
+                                       "inf"])
+    @pytest.mark.parametrize("table", CSV_TABLES)
+    def test_bad_row_names_its_line(self, tmp_path, table, fault, blank):
+        read, header, row, numeric = CSV_TABLES[table]
+        lines = [",".join(header), ",".join(row(2))] + [""] * blank
+        bad_line = len(lines) + 1
+        cells = row(bad_line)
+        if fault == "short-row":
+            cells.pop()
+        else:
+            cells[numeric] = {"non-numeric": "x"}.get(fault, fault)
+        lines += [",".join(cells), ",".join(row(bad_line + 1))]
+        path = tmp_path / f"{table}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"{table}\.csv:{bad_line}: "):
+            read(path)
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(146)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=50, deadline=None)
+    def test_write_read_write_is_a_fixpoint(self, table):
+        with tempfile.TemporaryDirectory() as d:
+            once, twice = Path(d, "a.csv"), Path(d, "b.csv")
+            write_feature_csv(table[:, :-1], table[:, -1], once)
+            X, y = read_feature_csv(once)
+            write_feature_csv(X, y, twice)
+            assert twice.read_text() == once.read_text()
+            # nine significant digits are kept
+            np.testing.assert_allclose(np.column_stack([X, y]), table,
+                                       rtol=1e-8, atol=0)
 
 
 class TestSessionCsv:
@@ -93,9 +159,10 @@ class TestAnnotationsAndHeights:
 
     def test_overlap_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
-        path.write_text("start_sample,end_sample,label\n0,10,CMJ\n5,15,Smash\n")
-        with pytest.raises(ParseError, match="overlap"):
-            read_annotations(path)
+        for rows in ("0,10,CMJ\n5,15,Smash\n", "0,10,CMJ\n0,10,CMJ\n"):
+            path.write_text(f"start_sample,end_sample,label\n{rows}")
+            with pytest.raises(ParseError, match=r"a\.csv:3: overlap"):
+                read_annotations(path)
 
     def test_reversed_interval_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -129,6 +196,14 @@ class TestAnnotationsAndHeights:
         path.write_text("subject_id,start_sample,end_sample,label,height_m\n"
                         f"S00,0,10,CMJ,{height}\n")
         with pytest.raises(ParseError, match=r"h\.csv:2: .*finite"):
+            read_heights(path)
+
+    def test_duplicate_height_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("subject_id,start_sample,end_sample,label,height_m\n"
+                        "S00,10,50,CMJ,0.3\nS00,10,50,CMJ,0.5\n")
+        with pytest.raises(ParseError,
+                           match=r"h\.csv:3: duplicate .* line 2"):
             read_heights(path)
 
     def test_ineligible_class_rejected(self, tmp_path):

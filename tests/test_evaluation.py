@@ -259,6 +259,36 @@ class TestPipelinePlumbing:
         with pytest.raises(ValueError, match=message):
             run_pipeline_eval(sessions, heights, tcn.MsTcnConfig(epochs=0))
 
+    @pytest.mark.parametrize("jumpless_subject", [False, True],
+                             ids=["every-subject-jumps",
+                                  "one-subject-without-jumps"])
+    def test_features_extracted_once_per_jump(self, monkeypatch,
+                                              jumpless_subject):
+        """Each annotated jump's features are extracted once per LOSO run,
+        not once per fold that trains on it; each TP jump once more."""
+        sessions, heights = dataio.synth_generate(dataio.SyntheticConfig(
+            num_subjects=3, jumps_per_class={"CMJ": 2, "Block": 2},
+            session_duration_s=25.0, seed=11))
+        if jumpless_subject:
+            sessions[0].labels[:] = 0
+            heights = [r for r in heights if r.subject_id != "S00"]
+        calls = []
+        extract = feat.extract_feature_vector
+
+        def counted(*args):
+            calls.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(ev.feat, "extract_feature_vector", counted)
+        monkeypatch.setattr(ev.tcn, "train", lambda cfg, s: (None, []))
+        monkeypatch.setattr(ev.tcn, "predict",
+                            lambda w, s: (None, s.labels.copy()))
+        report = run_pipeline_eval(sessions, heights,
+                                   tcn.MsTcnConfig(epochs=0),
+                                   regressor_config=regression.RfConfig(
+                                       n_estimators=5))
+        assert len(calls) == len(heights) + len(report.bland_altman_points)
+
     def test_report_serialization_schema(self, tiny_dataset, monkeypatch):
         sessions, heights = tiny_dataset
         monkeypatch.setattr(ev.tcn, "train", lambda cfg, s: (None, []))
