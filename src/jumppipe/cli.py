@@ -39,22 +39,8 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write_manifest(out_dir, command, config_echo, inputs, outputs):
-    manifest = {
-        "command": command,
-        "config": config_echo,
-        "inputs": inputs,
-        "outputs": outputs,
-        "versions": {
-            "jumppipe": __version__,
-            "checkpoint_format": dataio.CHECKPOINT_VERSION,
-            "feature_catalog": features.CATALOG_VERSION,
-        },
-        "wall_clock_s": time.time(),
-    }
-    dataio.atomic_write_text(
-        os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2)
-    )
+def _write_json(path, doc) -> None:
+    dataio.atomic_write_text(path, json.dumps(doc, indent=2))
 
 
 def _load_sessions(data_dir):
@@ -63,6 +49,13 @@ def _load_sessions(data_dir):
     if not paths:
         raise FileNotFoundError(f"no session CSVs in {data_dir}")
     return [dataio.read_session_csv(p) for p in paths]
+
+
+def _load_dataset(data_dir):
+    """Sessions and height records of a data directory. The sessions are read
+    first, so a malformed session is reported even if `heights.csv` is bad."""
+    sessions = _load_sessions(data_dir)
+    return sessions, dataio.read_heights(os.path.join(data_dir, "heights.csv"))
 
 
 def _tcn_config(args) -> tcn.MsTcnConfig:
@@ -80,17 +73,19 @@ def _tcn_config(args) -> tcn.MsTcnConfig:
     )
 
 
-def _add_tcn_flags(p, stages=2, layers=7, filters=16, epochs=20, lr=1e-3):
-    p.add_argument("--stages", type=int, default=stages)
-    p.add_argument("--layers", type=int, default=layers)
-    p.add_argument("--filters", type=int, default=filters)
-    p.add_argument("--epochs", type=int, default=epochs)
-    p.add_argument("--lr", type=float, default=lr)
+def _add_tcn_flags(p):
+    p.add_argument("--stages", type=int, default=2)
+    p.add_argument("--layers", type=int, default=7)
+    p.add_argument("--filters", type=int, default=16)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--lr", type=float, default=1e-3)
 
 
 # ------------------------------------------------------------- subcommands
+# A command reads its inputs, writes each output to the path `out(name)`
+# gives it and returns (config echo, log message); `_run` does the rest.
 
-def _cmd_synth(args):
+def _cmd_synth(args, out):
     cfg = dataio.SyntheticConfig(
         num_subjects=args.subjects,
         session_duration_s=args.duration,
@@ -98,86 +93,55 @@ def _cmd_synth(args):
         seed=args.seed,
     )
     sessions, heights = dataio.synth_generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
     for sess in sessions:
-        path = os.path.join(args.out, f"{sess.subject_id}.csv")
-        dataio.write_session_csv(sess, path)
-        outputs.append(path)
-    hpath = os.path.join(args.out, "heights.csv")
-    dataio.write_heights(heights, hpath)
-    outputs.append(hpath)
-    _write_manifest(args.out, "synth",
-                    {"subjects": args.subjects, "duration_s": args.duration,
-                     "noise_std_g": args.noise, "seed": args.seed},
-                    [], outputs)
-    _log(f"wrote {len(sessions)} sessions + heights to {args.out}")
-    return EXIT_OK
+        dataio.write_session_csv(sess, out(f"{sess.subject_id}.csv"))
+    dataio.write_heights(heights, out("heights.csv"))
+    return ({"subjects": args.subjects, "duration_s": args.duration,
+             "noise_std_g": args.noise, "seed": args.seed},
+            f"{len(sessions)} sessions + heights")
 
 
-def _cmd_train(args):
+def _cmd_train(args, out):
     sessions = _load_sessions(args.data)
     config = _tcn_config(args)
     _log(f"training MS-TCN on {len(sessions)} sessions "
          f"({config.num_stages} stages, {config.stage.num_layers} layers)")
     weights, history = tcn.train(config, sessions)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "model.ckpt")
-    dataio.save_checkpoint(weights, path)
-    _write_manifest(args.out, "train",
-                    {**tcn.config_to_doc(config),
-                     "final_loss": history[-1] if history else None},
-                    [args.data], [path])
-    _log(f"saved model to {path}")
-    return EXIT_OK
+    dataio.save_checkpoint(weights, out("model.ckpt"))
+    return ({**tcn.config_to_doc(config),
+             "final_loss": history[-1] if history else None},
+            "trained MS-TCN")
 
 
-def _cmd_predict(args):
+def _cmd_predict(args, out):
     weights = dataio.load_checkpoint(args.model, expect="mstcn")
     session = dataio.read_session_csv(args.session)
     _, labels = tcn.predict(weights, session)
     segments = seg.min_duration_filter(
         seg.extract_segments(labels), args.min_duration
     )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "pred_segments.csv")
-    dataio.write_annotations(segments, path)
-    _write_manifest(args.out, "predict",
-                    {"min_duration": args.min_duration},
-                    [args.model, args.session], [path])
-    _log(f"{len(segments)} predicted segments -> {path}")
-    return EXIT_OK
+    dataio.write_annotations(segments, out("pred_segments.csv"))
+    return ({"min_duration": args.min_duration},
+            f"{len(segments)} predicted segments")
 
 
-def _cmd_eval_seg(args):
+def _cmd_eval_seg(args, out):
     pred = dataio.read_annotations(args.pred)
     truth = dataio.read_annotations(args.truth)
     match = seg.match_segments(pred, truth, args.threshold)
     metrics = evaluation.precision_recall_f1(match)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "seg_metrics.json")
-    dataio.atomic_write_text(
-        path, json.dumps(evaluation.seg_metrics_to_dict(metrics), indent=2))
-    _write_manifest(args.out, "eval-seg", {"threshold": args.threshold},
-                    [args.pred, args.truth], [path])
-    _log(f"overall F1 = {metrics.overall.f1:.4f} -> {path}")
-    return EXIT_OK
+    _write_json(out("seg_metrics.json"), evaluation.seg_metrics_to_dict(metrics))
+    return {"threshold": args.threshold}, f"overall F1 = {metrics.overall.f1:.4f}"
 
 
-def _cmd_extract_features(args):
-    sessions = _load_sessions(args.data)
-    heights = dataio.read_heights(os.path.join(args.data, "heights.csv"))
+def _cmd_extract_features(args, out):
+    sessions, heights = _load_dataset(args.data)
     X, y = evaluation.feature_table(sessions, heights, args.width)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "features.csv")
-    dataio.write_feature_csv(X, y, path)
-    _write_manifest(args.out, "extract-features", {"width": args.width},
-                    [args.data], [path])
-    _log(f"{X.shape[0]} feature rows -> {path}")
-    return EXIT_OK
+    dataio.write_feature_csv(X, y, out("features.csv"))
+    return {"width": args.width}, f"{X.shape[0]} feature rows"
 
 
-def _cmd_fit_reg(args):
+def _cmd_fit_reg(args, out):
     X, y = dataio.read_feature_csv(args.features)
     configs = {
         "rf": regression.RfConfig(seed=args.seed),
@@ -185,71 +149,75 @@ def _cmd_fit_reg(args):
         "mlp": regression.MlpRegConfig(seed=args.seed),
     }
     model = regression.fit(args.kind, X, y, configs[args.kind])
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "regressor.ckpt")
-    dataio.save_checkpoint(model, path)
-    _write_manifest(args.out, "fit-reg",
-                    {"kind": args.kind, "seed": args.seed},
-                    [args.features], [path])
-    _log(f"fitted {args.kind} on {X.shape[0]} rows -> {path}")
-    return EXIT_OK
+    dataio.save_checkpoint(model, out("regressor.ckpt"))
+    return ({"kind": args.kind, "seed": args.seed},
+            f"fitted {args.kind} on {X.shape[0]} rows")
 
 
-def _cmd_eval_reg(args):
+def _cmd_eval_reg(args, out):
     model = dataio.load_checkpoint(args.model, expect="regressor")
     X, y = dataio.read_feature_csv(args.features)
-    pred = regression.predict(model, X)
-    metrics = evaluation.reg_metrics(y, pred)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "reg_metrics.json")
-    dataio.atomic_write_text(path, json.dumps(asdict(metrics), indent=2))
-    _write_manifest(args.out, "eval-reg", {}, [args.model, args.features],
-                    [path])
-    _log(f"R2 = {metrics.r2:.4f}, RMSE = {metrics.rmse:.4f} m -> {path}")
-    return EXIT_OK
+    metrics = evaluation.reg_metrics(y, regression.predict(model, X))
+    _write_json(out("reg_metrics.json"), asdict(metrics))
+    return {}, f"R2 = {metrics.r2:.4f}, RMSE = {metrics.rmse:.4f} m"
 
 
-def _cmd_pipeline(args):
-    sessions = _load_sessions(args.data)
-    heights = dataio.read_heights(os.path.join(args.data, "heights.csv"))
-    config = _tcn_config(args)
+def _cmd_pipeline(args, out):
+    sessions, heights = _load_dataset(args.data)
     report = evaluation.run_pipeline_eval(
-        sessions, heights, config,
+        sessions, heights, _tcn_config(args),
         regressor_kind=args.regressor,
         width=args.width,
         threshold=args.threshold,
         min_duration=args.min_duration,
         progress=_log,
     )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "report.json")
-    dataio.atomic_write_text(
-        path, json.dumps(evaluation.report_to_dict(report), indent=2)
-    )
-    ba_path = os.path.join(args.out, "bland_altman.csv")
-    dataio.write_csv(ba_path, ["mean_m", "diff_m"], report.bland_altman_points)
-    _write_manifest(args.out, "pipeline", report.config_echo,
-                    [args.data], [path, ba_path])
-    _log(f"F1 = {report.seg_metrics.overall.f1:.4f}, "
-         f"R2 = {report.reg_metrics.r2:.4f} -> {path}")
-    return EXIT_OK
+    _write_json(out("report.json"), evaluation.report_to_dict(report))
+    dataio.write_csv(out("bland_altman.csv"), ["mean_m", "diff_m"],
+                     report.bland_altman_points)
+    overall, reg = report.seg_metrics.overall, report.reg_metrics
+    height = (f"R2 = {reg.r2:.4f}" if reg else
+              f"no height metrics: {overall.tp} true-positive jumps, "
+              f"at least 2 needed")
+    return report.config_echo, f"F1 = {overall.f1:.4f}, {height}"
 
 
-def _cmd_importance(args):
+def _cmd_importance(args, out):
     model = dataio.load_checkpoint(args.model, expect="regressor")
     X, y = dataio.read_feature_csv(args.features)
     ranked = regression.permutation_importance(model, X, y,
                                                repeats=args.repeats,
                                                seed=args.seed)
     names = features.feature_names()
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "importance.csv")
-    dataio.write_csv(path, ["feature", "importance"],
+    dataio.write_csv(out("importance.csv"), ["feature", "importance"],
                      ((names[j], v) for j, v in ranked))
-    _write_manifest(args.out, "importance",
-                    {"repeats": args.repeats, "seed": args.seed},
-                    [args.model, args.features], [path])
-    _log(f"importance ranking -> {path}")
+    return {"repeats": args.repeats, "seed": args.seed}, "importance ranking"
+
+
+def _run(args) -> int:
+    """Run a command: create `--out` when the command asks for its first
+    output path, then write the manifest and log the command's message."""
+    outputs = []
+
+    def out(name):
+        os.makedirs(args.out, exist_ok=True)
+        outputs.append(os.path.join(args.out, name))
+        return outputs[-1]
+
+    config, message = args.func(args, out)
+    _write_json(os.path.join(args.out, "manifest.json"), {
+        "command": args.command,
+        "config": config,
+        "inputs": [getattr(args, name) for name in args.inputs],
+        "outputs": outputs,
+        "versions": {
+            "jumppipe": __version__,
+            "checkpoint_format": dataio.CHECKPOINT_VERSION,
+            "feature_catalog": features.CATALOG_VERSION,
+        },
+        "wall_clock_s": time.time(),
+    })
+    _log(f"{message} -> {args.out}")
     return EXIT_OK
 
 
@@ -259,89 +227,75 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="jumppipe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=False):
+    def command(name, func, summary, inputs=(), seeded=False):
+        """Subparser `name`; each of `inputs` is a required path flag that
+        the manifest lists as an input."""
+        p = sub.add_parser(name, help=summary)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True)
         if seeded:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=str, default=None,
                        help="key=value file; command-line flags override it")
         p.add_argument("--out", type=str, default=".")
+        p.set_defaults(func=func, inputs=inputs)
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic labeled sessions")
-    common(p, seeded=True)
+    p = command("synth", _cmd_synth, "generate synthetic labeled sessions",
+                seeded=True)
     p.add_argument("--subjects", type=int, default=10)
     p.add_argument("--duration", type=float, default=170.0)
     p.add_argument("--noise", type=float, default=0.05)
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train the MS-TCN on labeled sessions")
-    common(p, seeded=True)
-    p.add_argument("--data", required=True)
+    p = command("train", _cmd_train, "train the MS-TCN on labeled sessions",
+                inputs=("data",), seeded=True)
     _add_tcn_flags(p)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="predict segments for one session")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--session", required=True)
+    p = command("predict", _cmd_predict, "predict segments for one session",
+                inputs=("model", "session"))
     p.add_argument("--min-duration", type=int,
                    default=seg.DEFAULT_MIN_DURATION)
-    p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("eval-seg", help="segment metrics pred vs truth")
-    common(p)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
+    p = command("eval-seg", _cmd_eval_seg, "segment metrics pred vs truth",
+                inputs=("pred", "truth"))
     p.add_argument("--threshold", type=float, default=seg.DEFAULT_IOU_THRESHOLD)
-    p.set_defaults(func=_cmd_eval_seg)
 
-    p = sub.add_parser("extract-features",
-                       help="feature matrix from annotated sessions")
-    common(p)
-    p.add_argument("--data", required=True)
+    p = command("extract-features", _cmd_extract_features,
+                "feature matrix from annotated sessions", inputs=("data",))
     p.add_argument("--width", type=int, default=seg.DEFAULT_ROI_WIDTH)
-    p.set_defaults(func=_cmd_extract_features)
 
-    p = sub.add_parser("fit-reg", help="fit a height regressor")
-    common(p, seeded=True)
-    p.add_argument("--features", required=True)
+    p = command("fit-reg", _cmd_fit_reg, "fit a height regressor",
+                inputs=("features",), seeded=True)
     p.add_argument("--kind", choices=["rf", "gbt", "mlp"], default="rf")
-    p.set_defaults(func=_cmd_fit_reg)
 
-    p = sub.add_parser("eval-reg", help="regression metrics on a feature file")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.set_defaults(func=_cmd_eval_reg)
+    command("eval-reg", _cmd_eval_reg, "regression metrics on a feature file",
+            inputs=("model", "features"))
 
-    p = sub.add_parser("pipeline", help="full LOSO evaluation")
-    common(p, seeded=True)
-    p.add_argument("--data", required=True)
+    p = command("pipeline", _cmd_pipeline, "full LOSO evaluation",
+                inputs=("data",), seeded=True)
     _add_tcn_flags(p)
     p.add_argument("--regressor", choices=["rf", "gbt", "mlp"], default="rf")
     p.add_argument("--width", type=int, default=seg.DEFAULT_ROI_WIDTH)
     p.add_argument("--threshold", type=float, default=seg.DEFAULT_IOU_THRESHOLD)
     p.add_argument("--min-duration", type=int,
                    default=seg.DEFAULT_MIN_DURATION)
-    p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("importance", help="permutation feature importance")
-    common(p, seeded=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
+    p = command("importance", _cmd_importance, "permutation feature importance",
+                inputs=("model", "features"), seeded=True)
     p.add_argument("--repeats", type=int, default=10)
-    p.set_defaults(func=_cmd_importance)
 
     return parser
 
 
 def _merge_config_file(argv: list[str]) -> list[str]:
-    """Prepend config-file entries as flags so explicit flags win."""
-    if "--config" not in argv:
+    """Prepend config-file entries as flags so explicit flags win. The file
+    is found as argparse finds it: `--config path`, `--config=path` or an
+    abbreviation."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv
-    path = argv[i + 1]
     extra = []
     with open(path) as fh:
         for raw in fh:
@@ -360,7 +314,7 @@ def cli_dispatch(argv: list[str]) -> int:
     try:
         argv = _merge_config_file(argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(args)
     except _UsageError as e:
         _log(f"usage error: {e}")
         parser.print_usage(sys.stderr)

@@ -188,8 +188,12 @@ def _segment(path, ln, start, end, label, vocab) -> Segment:
         cid = vocab.index(label)
     except KeyError as e:
         raise ParseError(path, ln, str(e)) from None
+    if start < 0:
+        raise ParseError(path, ln, f"negative start sample {start}")
     if end <= start:
         raise ParseError(path, ln, f"reversed interval [{start}, {end})")
+    if cid == 0:
+        raise ParseError(path, ln, f"label {label!r} is the background class")
     return Segment(start, end, cid)
 
 

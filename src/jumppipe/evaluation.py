@@ -73,7 +73,7 @@ class LosoFold:
 class EvalReport:
     seg_metrics: SegMetrics
     count_loa: dict  # class name (+ "total") -> AgreementStats
-    reg_metrics: RegMetrics
+    reg_metrics: RegMetrics | None  # None with fewer than 2 TP jumps
     bland_altman_points: list  # (mean, diff) pairs over pooled TP jumps
     config_echo: dict
 
@@ -224,7 +224,7 @@ def feature_table(sessions, height_records, width: int = DEFAULT_ROI_WIDTH,
         window = segmentation.roi_window(roi, sess.samples)
         X.append(feat.extract_feature_vector(window, seg.class_id, vocab))
         y.append(height)
-    n_features = len(feat.feature_names(vocab))
+    n_features = len(feat.feature_names())
     return np.asarray(X).reshape(-1, n_features), np.asarray(y)
 
 
@@ -246,7 +246,8 @@ def run_pipeline_eval(
     subject, extract and filter predicted segments, match against annotation
     at the IoU threshold, then predict heights for the TP segments with a
     regressor fit on the train subjects' ground-truth segments. Jump heights
-    are pooled across folds for the regression metrics.
+    are pooled across folds for the regression metrics; with fewer than 2
+    TP jumps there are none, and no Bland-Altman points.
     """
     sessions = list(sessions)
     subjects = [s.subject_id for s in sessions]
@@ -314,8 +315,10 @@ def run_pipeline_eval(
         name: limits_of_agreement(count_rows_truth[name], count_rows_pred[name])
         for name in count_rows_truth
     }
-    points, _ = bland_altman_points(pooled_truth_h, pooled_pred_h)
-    metrics = reg_metrics(pooled_truth_h, pooled_pred_h)
+    points, metrics = [], None
+    if len(pooled_truth_h) >= 2:
+        points, _ = bland_altman_points(pooled_truth_h, pooled_pred_h)
+        metrics = reg_metrics(pooled_truth_h, pooled_pred_h)
     config_echo = {
         "iou_threshold": threshold,
         "roi_width": width,
@@ -349,7 +352,8 @@ def report_to_dict(report: EvalReport) -> dict:
     return {
         "seg_metrics": seg_metrics_to_dict(report.seg_metrics),
         "count_loa": {k: asdict(v) for k, v in report.count_loa.items()},
-        "reg_metrics": asdict(report.reg_metrics),
+        "reg_metrics": (asdict(report.reg_metrics) if report.reg_metrics
+                        else None),
         "bland_altman_points": [[m, d] for m, d in report.bland_altman_points],
         "config_echo": report.config_echo,
     }

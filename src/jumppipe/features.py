@@ -143,7 +143,7 @@ def extract_channel_features(signal, fs: float = SAMPLE_RATE_HZ) -> np.ndarray:
     return np.array(_time_features(x) + _freq_features(x, fs))
 
 
-def feature_names(vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[str]:
+def feature_names() -> list[str]:
     names = [f"{ch}_{feat}" for ch in CHANNEL_NAMES for feat in FEATURE_NAMES]
     names.append("jump_type")
     return names

@@ -25,7 +25,6 @@ class RfConfig:
     n_estimators: int = 50
     max_depth: int = 10
     max_leaf_nodes: int = 15
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -43,12 +42,9 @@ class GbtConfig:
     eta: float = 0.1
     n_estimators: int = 100
     max_depth: int = 6
-    gamma: float = 0.0  # minimum split gain
 
     def __post_init__(self):
         _check_eta(self.eta)
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
 
 
 @dataclass
@@ -69,7 +65,6 @@ class TrainedRegressor:
     payload: dict  # rf: trees; gbt: base, eta, trees (+ stage_mse from
     #                fit_gbt); mlp: layers, mu, sigma
     input_dim: int
-    catalog_version: int = CATALOG_VERSION
 
 
 # ---------------------------------------------------------------- trees
@@ -125,7 +120,6 @@ def fit_tree(
     y,
     max_depth: int | None = None,
     max_leaf_nodes: int | None = None,
-    min_gain: float = 0.0,
     features_per_split: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tree:
@@ -155,7 +149,7 @@ def fit_tree(
         if idx.size < 2 or np.ptp(y[idx]) == 0:
             return
         split = _best_split(X, y, idx, candidate_features())
-        if split is None or split[0] <= min_gain:
+        if split is None or split[0] <= 0.0:
             return
         heapq.heappush(heap, (-split[0], node, idx, depth, split))
 
@@ -210,10 +204,7 @@ def fit_rf(X, y, config: RfConfig = RfConfig()) -> TrainedRegressor:
     trees = []
     for _ in range(config.n_estimators):
         tree_rng = np.random.default_rng(master.integers(0, 2**63))
-        if config.bootstrap:
-            idx = tree_rng.integers(0, X.shape[0], size=X.shape[0])
-        else:
-            idx = np.arange(X.shape[0])
+        idx = tree_rng.integers(0, X.shape[0], size=X.shape[0])
         trees.append(
             fit_tree(
                 X[idx], y[idx],
@@ -243,8 +234,7 @@ def fit_gbt(X, y, config: GbtConfig = GbtConfig()) -> TrainedRegressor:
     trees = []
     stage_mse = [float(((y - current) ** 2).mean())]
     for _ in range(config.n_estimators):
-        tree = fit_tree(X, y - current, max_depth=config.max_depth,
-                        min_gain=config.gamma)
+        tree = fit_tree(X, y - current, max_depth=config.max_depth)
         current = current + config.eta * predict_tree(tree, X)
         trees.append(tree)
         stage_mse.append(float(((y - current) ** 2).mean()))
@@ -273,28 +263,29 @@ def _init_dense(rng, cin, cout) -> nncore.ConvKernel:
 
 
 def _mlp_forward(layers, X):
-    """Dense layers are 1x1 convolutions over the (n, features) matrix."""
+    """Dense layers over the (n, features) matrix; a layer's (1, in, out)
+    weights are used as one (in, out) matrix."""
     caches = []
     h = X
     for i, layer in enumerate(layers):
-        z = nncore.conv1d_dilated(h, layer)
+        z = h @ layer.weights[0] + layer.bias
         caches.append((h, z))
         h = nncore.relu(z) if i < len(layers) - 1 else z
     return h, caches
 
 
 def _mlp_backward(layers, caches, grad_out):
-    grads = []
+    """Weight and bias gradients of each layer, first layer first. The
+    gradient with respect to the input features is never formed."""
+    flat = []
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
         h_in, z = caches[i]
         if i < len(layers) - 1:
             g = nncore.relu_backward(z, g)
-        g, gw, gb = nncore.conv1d_backward(h_in, layers[i], g)
-        grads.append((gw, gb))
-    flat = []
-    for gw, gb in reversed(grads):
-        flat.extend([gw, gb])
+        flat[:0] = [(h_in.T @ g)[None], g.sum(axis=0)]
+        if i:
+            g = g @ layers[i].weights[0].T
     return flat
 
 
@@ -377,8 +368,7 @@ def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
 
 def to_doc(model: TrainedRegressor) -> dict:
     """Checkpoint body: what prediction reads, plus the feature contract."""
-    doc = {"input_dim": model.input_dim,
-           "catalog_version": model.catalog_version}
+    doc = {"input_dim": model.input_dim, "catalog_version": CATALOG_VERSION}
     pl = model.payload
     if model.kind in ("rf", "gbt"):
         if model.kind == "gbt":
@@ -433,7 +423,7 @@ def from_doc(kind: str, doc) -> TrainedRegressor:
                              f"and the first layer have widths {widths}")
     else:
         raise ValueError(f"unknown regressor kind {kind!r}")
-    return TrainedRegressor(kind, payload, input_dim, doc["catalog_version"])
+    return TrainedRegressor(kind, payload, input_dim)
 
 
 # --------------------------------------------------------- importance

@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from jumppipe import dataio, features
+from jumppipe import dataio, features, tcn
+from jumppipe import segmentation as seg
 from jumppipe.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_dispatch
 from jumppipe.segmentation import Segment
+
+TINY_TCN = ["--stages", "1", "--layers", "3", "--filters", "4", "--epochs", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,7 @@ class TestErrors:
         rc = cli_dispatch(["extract-features", "--data", str(tmp_path),
                            "--out", str(tmp_path / "out")])
         assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()  # nothing written, no --out
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_feature_cell_names_line(self, tmp_path, capsys, cell):
@@ -211,6 +215,18 @@ class TestConfigFile:
         assert sorted(p for p in os.listdir(out) if p.startswith("S")) \
             == ["S00.csv"]
 
+    @pytest.mark.parametrize("spelling", ["equals", "abbreviated"])
+    def test_other_config_flag_spellings_are_read(self, tmp_path, spelling):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("subjects = 1\nduration = 120\n")
+        flag = {"equals": [f"--config={cfg}"],
+                "abbreviated": ["--conf", str(cfg)]}[spelling]
+        out = tmp_path / "out"
+        rc = cli_dispatch(["synth", *flag, "--out", str(out)])
+        assert rc == EXIT_OK
+        assert sorted(p for p in os.listdir(out) if p.startswith("S")) \
+            == ["S00.csv"]
+
     def test_bad_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("subjects without equals\n")
@@ -218,12 +234,83 @@ class TestConfigFile:
                              "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
-def test_manifest_written_by_every_command(small_dataset, tmp_path):
+class TestPipeline:
+    @pytest.mark.parametrize("tp_jumps", [0, 1])
+    def test_fewer_than_two_tp_jumps_gives_null_height_metrics(
+            self, small_dataset, tmp_path, monkeypatch, capsys, tp_jumps):
+        def predict(weights, session):
+            """Background everywhere but the first `tp_jumps` jumps of S00."""
+            labels = np.zeros_like(session.labels)
+            if session.subject_id == "S00":
+                for s in seg.extract_segments(session.labels)[:tp_jumps]:
+                    labels[s.start:s.end] = s.class_id
+            return None, labels
+
+        monkeypatch.setattr(tcn, "train", lambda config, sessions: (None, []))
+        monkeypatch.setattr(tcn, "predict", predict)
+        out = tmp_path / "out"
+        rc = cli_dispatch(["pipeline", "--data", str(small_dataset),
+                           "--out", str(out)])
+        assert rc == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["reg_metrics"] is None
+        assert report["bland_altman_points"] == []
+        assert report["seg_metrics"]["overall"]["tp"] == tp_jumps
+        assert report["seg_metrics"]["overall"]["fn"] == 8 - tp_jumps
+        assert report["count_loa"]["total"]["n"] == 2
+        assert (out / "bland_altman.csv").read_text() == "mean_m,diff_m\n"
+        assert (f"no height metrics: {tp_jumps} true-positive jumps"
+                in capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def chain(small_dataset, tmp_path_factory):
+    """An input of each kind the CLI reads, made from `small_dataset`."""
+    root = tmp_path_factory.mktemp("chain")
+    sess = dataio.read_session_csv(small_dataset / "S00.csv")
+    dataio.write_annotations(seg.extract_segments(sess.labels),
+                             root / "truth.csv")
+    for argv in (["train", "--data", str(small_dataset), *TINY_TCN],
+                 ["extract-features", "--data", str(small_dataset)],
+                 ["fit-reg", "--features", str(root / "features.csv")]):
+        assert cli_dispatch([*argv, "--out", str(root)]) == EXIT_OK
+    return {"data": str(small_dataset), "session": str(small_dataset / "S00.csv"),
+            "model": str(root / "model.ckpt"), "truth": str(root / "truth.csv"),
+            "features": str(root / "features.csv"),
+            "regressor": str(root / "regressor.ckpt")}
+
+
+# Each command: its input flags (flag -> key in `chain`) and other flags.
+COMMANDS = {
+    "synth": ({}, ["--subjects", "1", "--duration", "120"]),
+    "train": ({"data": "data"}, TINY_TCN),
+    "predict": ({"model": "model", "session": "session"}, []),
+    "eval-seg": ({"pred": "truth", "truth": "truth"}, []),
+    "extract-features": ({"data": "data"}, []),
+    "fit-reg": ({"features": "features"}, []),
+    "eval-reg": ({"model": "regressor", "features": "features"}, []),
+    "pipeline": ({"data": "data"}, TINY_TCN),
+    "importance": ({"model": "regressor", "features": "features"},
+                   ["--repeats", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_written_by_every_command(chain, tmp_path, command):
+    input_flags, extra = COMMANDS[command]
+    inputs = [chain[key] for key in input_flags.values()]
     out = tmp_path / "out"
-    cli_dispatch(["extract-features", "--data", str(small_dataset),
-                  "--out", str(out)])
+    argv = [command, *(a for flag, path in zip(input_flags, inputs)
+                       for a in (f"--{flag}", path)),
+            *extra, "--out", str(out)]
+    assert cli_dispatch(argv) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "extract-features"
-    assert manifest["inputs"] == [str(small_dataset)]
+    assert manifest["command"] == command
+    assert manifest["inputs"] == inputs
+    assert manifest["outputs"]
+    assert all(os.path.dirname(p) == str(out) and os.path.isfile(p)
+               for p in manifest["outputs"])
+    assert sorted(os.listdir(out)) == sorted(
+        [os.path.basename(p) for p in manifest["outputs"]] + ["manifest.json"])
     assert manifest["versions"]["feature_catalog"] == 1
     assert np.isfinite(manifest["wall_clock_s"])

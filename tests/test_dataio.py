@@ -47,9 +47,12 @@ class TestCsvCodec:
 
     @pytest.mark.parametrize("blank", [False, True],
                              ids=["no-blank-line", "after-blank-line"])
-    @pytest.mark.parametrize("fault", ["short-row", "non-numeric", "nan",
-                                       "inf"])
-    @pytest.mark.parametrize("table", CSV_TABLES)
+    @pytest.mark.parametrize(("table", "fault"), [
+        *((t, f) for t in CSV_TABLES
+          for f in ("short-row", "non-numeric", "nan", "inf")),
+        *((t, f) for t in ("annotations", "heights")
+          for f in ("negative-start", "background-label")),
+    ])
     def test_bad_row_names_its_line(self, tmp_path, table, fault, blank):
         read, header, row, numeric = CSV_TABLES[table]
         lines = [",".join(header), ",".join(row(2))] + [""] * blank
@@ -57,6 +60,10 @@ class TestCsvCodec:
         cells = row(bad_line)
         if fault == "short-row":
             cells.pop()
+        elif fault == "negative-start":
+            cells[header.index("start_sample")] = "-5"
+        elif fault == "background-label":
+            cells[header.index("label")] = "NULL"
         else:
             cells[numeric] = {"non-numeric": "x"}.get(fault, fault)
         lines += [",".join(cells), ",".join(row(bad_line + 1))]

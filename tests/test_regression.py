@@ -78,7 +78,7 @@ class TestTree:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = fit_tree(X, y, min_gain=0.0)
+        tree = fit_tree(X, y)
         np.testing.assert_allclose(predict_tree(tree, X), y, atol=1e-12)
 
     def test_empty_data_rejected(self):
