@@ -61,12 +61,7 @@ def _load_dataset(data_dir):
 def _tcn_config(args) -> tcn.MsTcnConfig:
     return tcn.MsTcnConfig(
         num_stages=args.stages,
-        stage=tcn.SsTcnConfig(
-            num_layers=args.layers,
-            num_filters=args.filters,
-            in_channels=6,
-            num_classes=seg.DEFAULT_VOCAB.num_classes,
-        ),
+        stage=tcn.SsTcnConfig(num_layers=args.layers, num_filters=args.filters),
         epochs=args.epochs,
         lr=args.lr,
         seed=args.seed,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import regression, tcn
 from .features import SAMPLE_RATE_HZ, feature_names
-from .segmentation import DEFAULT_VOCAB, ClassVocabulary, Segment
+from .segmentation import DEFAULT_VOCAB, Segment
 
 GRAVITY = 9.81
 SESSION_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
@@ -142,19 +142,19 @@ def _float_table(path, rows, ncols: int) -> np.ndarray:
 
 # ------------------------------------------------------------- session CSV
 
-def write_session_csv(session: ImuSession, path,
-                      vocab: ClassVocabulary = DEFAULT_VOCAB) -> None:
+def write_session_csv(session: ImuSession, path) -> None:
     dt = 1.0 / SAMPLE_RATE_HZ
     rows = ((i * dt, *row) for i, row in enumerate(session.samples))
     header = SESSION_HEADER
     if session.labels is not None:
         header = header + ["label"]
-        rows = ((*row, vocab.names[c]) for row, c in zip(rows, session.labels))
+        rows = ((*row, DEFAULT_VOCAB.names[c])
+                for row, c in zip(rows, session.labels))
     write_csv(path, header, rows)
 
 
-def read_session_csv(path, subject_id: str | None = None,
-                     vocab: ClassVocabulary = DEFAULT_VOCAB) -> ImuSession:
+def read_session_csv(path) -> ImuSession:
+    """A session CSV; its subject id is the file name without extension."""
     header, rows = read_csv(path, SESSION_HEADER, SESSION_HEADER + ["label"])
     table = _float_table(path, rows, len(SESSION_HEADER))
     # the timestamp follows the line number: a blank line skips a sample
@@ -168,24 +168,24 @@ def read_session_csv(path, subject_id: str | None = None,
     labels = None
     if len(header) > len(SESSION_HEADER):
         try:
-            labels = [vocab.index(cells[-1]) for _, cells in rows]
+            labels = [DEFAULT_VOCAB.index(cells[-1]) for _, cells in rows]
         except KeyError as e:
-            ln = next(ln for ln, cells in rows if cells[-1] not in vocab.names)
+            ln = next(ln for ln, cells in rows
+                      if cells[-1] not in DEFAULT_VOCAB.names)
             raise ParseError(path, ln, str(e)) from None
-    if subject_id is None:
-        subject_id = os.path.splitext(os.path.basename(path))[0]
+    subject_id = os.path.splitext(os.path.basename(path))[0]
     return ImuSession(subject_id, np.ascontiguousarray(table[:, 1:]), labels)
 
 
 # ------------------------------------------------- annotations and heights
 
-def _segment(path, ln, start, end, label, vocab) -> Segment:
+def _segment(path, ln, start, end, label) -> Segment:
     try:
         start, end = int(start), int(end)
     except ValueError:
         raise ParseError(path, ln, "non-integer sample index") from None
     try:
-        cid = vocab.index(label)
+        cid = DEFAULT_VOCAB.index(label)
     except KeyError as e:
         raise ParseError(path, ln, str(e)) from None
     if start < 0:
@@ -197,9 +197,9 @@ def _segment(path, ln, start, end, label, vocab) -> Segment:
     return Segment(start, end, cid)
 
 
-def read_annotations(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[Segment]:
+def read_annotations(path) -> list[Segment]:
     _, rows = read_csv(path, ANNOTATIONS_HEADER)
-    found = [(_segment(path, ln, *cells, vocab), ln) for ln, cells in rows]
+    found = [(_segment(path, ln, *cells), ln) for ln, cells in rows]
     ordered = sorted(found)
     for (a, la), (b, lb) in zip(ordered, ordered[1:]):
         if b.start < a.end:
@@ -208,17 +208,17 @@ def read_annotations(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[Segme
     return [s for s, _ in found]
 
 
-def write_annotations(segments, path,
-                      vocab: ClassVocabulary = DEFAULT_VOCAB) -> None:
+def write_annotations(segments, path) -> None:
     write_csv(path, ANNOTATIONS_HEADER,
-              ((s.start, s.end, vocab.names[s.class_id]) for s in segments))
+              ((s.start, s.end, DEFAULT_VOCAB.names[s.class_id])
+               for s in segments))
 
 
-def read_heights(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[HeightRecord]:
+def read_heights(path) -> list[HeightRecord]:
     _, rows = read_csv(path, HEIGHTS_HEADER)
     records, first_line = [], {}
     for ln, (subject, start, end, label, height) in rows:
-        segment = _segment(path, ln, start, end, label, vocab)
+        segment = _segment(path, ln, start, end, label)
         try:
             height = float(height)
         except ValueError:
@@ -226,7 +226,7 @@ def read_heights(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[HeightRec
         if not 0 < height < math.inf:  # also rejects nan
             raise ParseError(path, ln,
                              f"height must be positive and finite, got {height}")
-        if not vocab.is_jump(segment.class_id):
+        if not DEFAULT_VOCAB.is_jump(segment.class_id):
             raise ParseError(path, ln, f"class {label!r} is not height-eligible")
         key = (subject, segment)
         if key in first_line:
@@ -237,10 +237,11 @@ def read_heights(path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[HeightRec
     return records
 
 
-def write_heights(records, path, vocab: ClassVocabulary = DEFAULT_VOCAB) -> None:
+def write_heights(records, path) -> None:
     write_csv(path, HEIGHTS_HEADER,
               ((r.subject_id, r.segment.start, r.segment.end,
-                vocab.names[r.segment.class_id], r.height_m) for r in records))
+                DEFAULT_VOCAB.names[r.segment.class_id], r.height_m)
+               for r in records))
 
 
 # --------------------------------------------------------- feature matrix
@@ -308,6 +309,9 @@ def load_checkpoint(path, expect: str | None = None):
 DEFAULT_JUMPS_PER_CLASS = {
     "CMJ": 9, "Smash": 8, "Block": 8, "OS": 5, "Squat": 2, "Dive": 2, "Hop": 2,
 }
+HEIGHT_RANGE_M = (0.15, 0.60)  # drawn uniformly for the eligible jumps
+HOP_HEIGHT_RANGE_M = (0.02, 0.08)
+MIN_GAP_S = 1.0  # least quiet time before and between events
 
 
 @dataclass
@@ -317,9 +321,6 @@ class SyntheticConfig:
         default_factory=lambda: dict(DEFAULT_JUMPS_PER_CLASS))
     session_duration_s: float = 170.0
     noise_std_g: float = 0.05
-    height_range_m: tuple = (0.15, 0.60)
-    hop_height_range_m: tuple = (0.02, 0.08)
-    min_gap_s: float = 1.0
     seed: int = 42
     script_seed: int | None = None  # pin separately to vary only the noise
 
@@ -345,7 +346,7 @@ def _triangle(n: int) -> np.ndarray:
     return np.concatenate([up, down])
 
 
-def _jump_event(class_name: str, height: float, fs: int):
+def _jump_event(class_name: str, height: float):
     """Noiseless 6-channel template of one flight event and its label span.
 
     Vertical acceleration (ay): countermovement dip, takeoff push whose peak
@@ -353,6 +354,7 @@ def _jump_event(class_name: str, height: float, fs: int):
     round(flight_time * fs) samples, a landing spike of peak 3 + 8*h g, then
     a damped recovery. Gyro signatures distinguish the classes.
     """
+    fs = SAMPLE_RATE_HZ
     n_dip = int(0.30 * fs)
     n_push = int(0.15 * fs)
     n_flight = round(flight_time_s(height) * fs)
@@ -400,29 +402,28 @@ def _jump_event(class_name: str, height: float, fs: int):
     return sig, (0, land_end), n_flight
 
 
-def _squat_event(fs: int):
-    n = int(1.5 * fs)
+def _squat_event():
+    n = int(1.5 * SAMPLE_RATE_HZ)
     sig = np.zeros((n, 6))
     sig[:, 1] = 1.0 - 0.55 * np.sin(np.linspace(0, math.pi, n, endpoint=False))
     sig[:, 3] = 30.0 * np.sin(np.linspace(0, 2 * math.pi, n, endpoint=False))
     return sig, (0, n), 0
 
 
-def _dive_event(fs: int):
-    n = int(0.8 * fs)
+def _dive_event():
+    n = int(0.8 * SAMPLE_RATE_HZ)
     sig = np.zeros((n, 6))
     half = n // 2
     sig[:, 0] = 2.5 * _half_sine(n)
     sig[:, 3] = 200.0 * _triangle(n)
     ay = np.ones(n)
     ay[:half] = 1.0 - 0.7 * _half_sine(half)
-    ay[half:half + int(0.1 * fs)] = 2.0
+    ay[half:half + int(0.1 * SAMPLE_RATE_HZ)] = 2.0
     sig[:, 1] = ay
     return sig, (0, n), 0
 
 
-def synth_generate(config: SyntheticConfig,
-                   vocab: ClassVocabulary = DEFAULT_VOCAB):
+def synth_generate(config: SyntheticConfig):
     """Generate labeled synthetic sessions plus exact height records.
 
     Deterministic per (seed, script_seed): the script rng drives event
@@ -446,21 +447,18 @@ def synth_generate(config: SyntheticConfig,
         samples = np.zeros((n_total, 6))
         samples[:, 1] = 1.0  # gravity baseline on the vertical axis
         labels = np.zeros(n_total, dtype=np.int64)
-        cursor = int(script.uniform(config.min_gap_s, config.min_gap_s + 1.0) * fs)
+        cursor = int(script.uniform(MIN_GAP_S, MIN_GAP_S + 1.0) * fs)
         for name in events:
             if name == "Squat":
-                sig, span, _ = _squat_event(fs)
+                sig, span, _ = _squat_event()
                 height = None
             elif name == "Dive":
-                sig, span, _ = _dive_event(fs)
+                sig, span, _ = _dive_event()
                 height = None
             else:
-                if name == "Hop":
-                    lo, hi = config.hop_height_range_m
-                else:
-                    lo, hi = config.height_range_m
+                lo, hi = HOP_HEIGHT_RANGE_M if name == "Hop" else HEIGHT_RANGE_M
                 height = float(script.uniform(lo, hi))
-                sig, span, _ = _jump_event(name, height, fs)
+                sig, span, _ = _jump_event(name, height)
             n = sig.shape[0]
             if cursor + n > n_total:
                 raise ValueError(
@@ -470,14 +468,12 @@ def synth_generate(config: SyntheticConfig,
             block = samples[cursor:cursor + n]
             block[:, :] = sig
             lo_s, hi_s = cursor + span[0], cursor + span[1]
-            labels[lo_s:hi_s] = vocab.index(name)
-            if height is not None and vocab.is_jump(vocab.index(name)):
+            cid = DEFAULT_VOCAB.index(name)
+            labels[lo_s:hi_s] = cid
+            if height is not None and DEFAULT_VOCAB.is_jump(cid):
                 height_records.append(
-                    HeightRecord(subject_id, Segment(lo_s, hi_s,
-                                                     vocab.index(name)), height)
-                )
-            cursor += n + int(script.uniform(config.min_gap_s,
-                                             config.min_gap_s + 1.5) * fs)
+                    HeightRecord(subject_id, Segment(lo_s, hi_s, cid), height))
+            cursor += n + int(script.uniform(MIN_GAP_S, MIN_GAP_S + 1.5) * fs)
         if config.noise_std_g > 0:
             samples[:, :3] += noise.normal(0, config.noise_std_g,
                                            size=(n_total, 3))
@@ -487,18 +483,18 @@ def synth_generate(config: SyntheticConfig,
     return sessions, height_records
 
 
-def oracle_height_from_window(window: np.ndarray, fs: int = SAMPLE_RATE_HZ,
-                              threshold_g: float = 0.35) -> float:
-    """Invert the generator physics: measure the longest near-zero plateau of
-    vertical acceleration inside the window and apply h = g * T_f^2 / 8.
+def oracle_height_from_window(window: np.ndarray) -> float:
+    """Invert the generator physics: measure the longest near-zero plateau
+    (|ay| < 0.35 g) of vertical acceleration inside the window and apply
+    h = g * T_f^2 / 8.
 
     Used only as an independent verification oracle for the synthetic data.
     """
     ay = np.asarray(window)[:, 1]
-    low = np.abs(ay) < threshold_g
+    low = np.abs(ay) < 0.35
     best = run = 0
     for v in low:
         run = run + 1 if v else 0
         best = max(best, run)
-    tf = best / fs
+    tf = best / SAMPLE_RATE_HZ
     return GRAVITY * tf**2 / 8.0

@@ -8,6 +8,7 @@ chains detection, feature extraction and regression per LOSO fold.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ def r_squared(truth, pred) -> float:
     if truth.size < 2:
         raise ValueError("r_squared needs at least 2 points")
     ss_tot = ((truth - truth.mean()) ** 2).sum()
-    if ss_tot == 0:
+    if np.ptp(truth) == 0:  # ss_tot may round to nonzero
         raise ValueError("r_squared undefined for constant truth")
     return float(1.0 - ((truth - pred) ** 2).sum() / ss_tot)
 
@@ -150,7 +151,7 @@ def pearson_r(truth, pred) -> float:
         raise ValueError("pearson_r needs at least 2 points")
     st = truth.std()
     sp = pred.std()
-    if st == 0 or sp == 0:
+    if np.ptp(truth) == 0 or np.ptp(pred) == 0:  # std may round to nonzero
         raise ValueError("pearson_r undefined for a constant series")
     c = ((truth - truth.mean()) * (pred - pred.mean())).mean() / (st * sp)
     return float(c)
@@ -203,27 +204,20 @@ def _height_of(heights, subject_id, segment) -> float:
     return heights[key]
 
 
-def _labeled_jumps(sessions, height_records, vocab):
-    """(session, segment, height) of each annotated height-eligible segment."""
+def feature_table(sessions, height_records, width: int = DEFAULT_ROI_WIDTH):
+    """Feature matrix + height targets of every annotated height-eligible
+    segment, session by session in temporal order (zero rows if none)."""
     heights = _height_lookup(height_records)
+    X, y = [], []
     for sess in sessions:
         if sess.labels is None:
             raise ValueError(f"session {sess.subject_id!r} has no labels")
-        for seg in segmentation.extract_segments(sess.labels, vocab):
-            if vocab.is_jump(seg.class_id):
-                yield sess, seg, _height_of(heights, sess.subject_id, seg)
-
-
-def feature_table(sessions, height_records, width: int = DEFAULT_ROI_WIDTH,
-                  vocab=DEFAULT_VOCAB):
-    """Feature matrix + height targets of every annotated height-eligible
-    segment, session by session in temporal order (zero rows if none)."""
-    X, y = [], []
-    for sess, seg, height in _labeled_jumps(sessions, height_records, vocab):
-        roi = segmentation.select_roi(seg, sess.samples.shape[0], width)
-        window = segmentation.roi_window(roi, sess.samples)
-        X.append(feat.extract_feature_vector(window, seg.class_id, vocab))
-        y.append(height)
+        for seg in segmentation.extract_segments(sess.labels):
+            if DEFAULT_VOCAB.is_jump(seg.class_id):
+                y.append(_height_of(heights, sess.subject_id, seg))
+                roi = segmentation.select_roi(seg, sess.samples.shape[0], width)
+                window = segmentation.roi_window(roi, sess.samples)
+                X.append(feat.extract_feature_vector(window, seg.class_id))
     n_features = len(feat.feature_names())
     return np.asarray(X).reshape(-1, n_features), np.asarray(y)
 
@@ -237,7 +231,6 @@ def run_pipeline_eval(
     width: int = DEFAULT_ROI_WIDTH,
     threshold: float = DEFAULT_IOU_THRESHOLD,
     min_duration: int = segmentation.DEFAULT_MIN_DURATION,
-    vocab=DEFAULT_VOCAB,
     progress=None,
 ) -> EvalReport:
     """Full LOSO evaluation of the two-stage pipeline.
@@ -249,47 +242,36 @@ def run_pipeline_eval(
     are pooled across folds for the regression metrics; with fewer than 2
     TP jumps there are none, and no Bland-Altman points.
     """
+    segmentation.check_iou_threshold(threshold)
     sessions = list(sessions)
-    subjects = [s.subject_id for s in sessions]
-    by_subject = {s.subject_id: s for s in sessions}
     heights = _height_lookup(height_records)
-    folds = loso_split(subjects)
+    folds = loso_split(s.subject_id for s in sessions)
     # Each subject's ground-truth table, built once for every fold; an
     # unlabeled session or a missing height fails here, before training.
-    tables = {s.subject_id: feature_table([s], height_records, width, vocab)
+    tables = {s.subject_id: feature_table([s], height_records, width)
               for s in sessions}
 
-    eligible_names = [vocab.names[i] for i in vocab.eligible_ids()]
-    count_rows_truth = {name: [] for name in [*eligible_names, "total"]}
-    count_rows_pred = {name: [] for name in [*eligible_names, "total"]}
-    agg_tp, agg_fp, agg_fn = {}, {}, {}
+    tp, fp, fn = Counter(), Counter(), Counter()
+    fold_counts = []  # (truth, predicted) jump counts of each fold
     pooled_truth_h, pooled_pred_h = [], []
-
-    for fold in folds:
+    for fold, test_session in zip(folds, sessions):
         if progress:
             progress(f"fold {fold.fold_index + 1}/{len(folds)}: "
                      f"test subject {fold.test_subject}")
-        train_sessions = [by_subject[s] for s in fold.train_subjects]
-        test_session = by_subject[fold.test_subject]
-
+        train_sessions = [s for s in sessions if s is not test_session]
         weights, _ = tcn.train(tcn_config, train_sessions)
         _, pred_labels = tcn.predict(weights, test_session)
         pred_segments = segmentation.min_duration_filter(
-            segmentation.extract_segments(pred_labels, vocab), min_duration
+            segmentation.extract_segments(pred_labels), min_duration
         )
-        truth_segments = segmentation.extract_segments(test_session.labels, vocab)
+        truth_segments = segmentation.extract_segments(test_session.labels)
         match = segmentation.match_segments(pred_segments, truth_segments,
                                             threshold)
-        for c in set(match.per_class_tp) | set(agg_tp):
-            agg_tp[c] = agg_tp.get(c, 0) + match.per_class_tp.get(c, 0)
-            agg_fp[c] = agg_fp.get(c, 0) + match.per_class_fp.get(c, 0)
-            agg_fn[c] = agg_fn.get(c, 0) + match.per_class_fn.get(c, 0)
-
-        tc = segmentation.jump_counts(truth_segments, vocab)
-        pc = segmentation.jump_counts(pred_segments, vocab)
-        for name in count_rows_truth:
-            count_rows_truth[name].append(tc[name])
-            count_rows_pred[name].append(pc[name])
+        tp.update(match.per_class_tp)
+        fp.update(match.per_class_fp)
+        fn.update(match.per_class_fn)
+        fold_counts.append((segmentation.jump_counts(truth_segments),
+                            segmentation.jump_counts(pred_segments)))
 
         X_train, y_train = map(np.concatenate, zip(
             *[tables[s] for s in fold.train_subjects]))
@@ -297,23 +279,21 @@ def run_pipeline_eval(
                                regressor_config)
         n = test_session.samples.shape[0]
         for pred_seg, truth_seg, _ in match.pairs:
-            if not vocab.is_jump(truth_seg.class_id):
+            if not DEFAULT_VOCAB.is_jump(truth_seg.class_id):
                 continue
             pooled_truth_h.append(
                 _height_of(heights, fold.test_subject, truth_seg))
             roi = segmentation.select_roi(pred_seg, n, width)
             window = segmentation.roi_window(roi, test_session.samples)
-            vec = feat.extract_feature_vector(window, pred_seg.class_id, vocab)
+            vec = feat.extract_feature_vector(window, pred_seg.class_id)
             pooled_pred_h.append(regression.predict(model, vec))
 
-    merged = segmentation.MatchResult([], [], [], threshold,
-                                      agg_tp, agg_fp, agg_fn)
-    seg = precision_recall_f1(merged, vocab)
-    # MatchResult-level tp/fp/fn lists are empty in the merged aggregate;
-    # SegMetrics carries the per-class counts instead.
+    seg = precision_recall_f1(
+        segmentation.MatchResult([], [], [], threshold, tp, fp, fn))
     count_loa = {
-        name: limits_of_agreement(count_rows_truth[name], count_rows_pred[name])
-        for name in count_rows_truth
+        name: limits_of_agreement([t[name] for t, _ in fold_counts],
+                                  [p[name] for _, p in fold_counts])
+        for name in fold_counts[0][0]
     }
     points, metrics = [], None
     if len(pooled_truth_h) >= 2:
@@ -326,7 +306,7 @@ def run_pipeline_eval(
         "tcn": tcn.config_to_doc(tcn_config),
         "regressor": regressor_kind,
         "catalog_version": feat.CATALOG_VERSION,
-        "num_subjects": len(subjects),
+        "num_subjects": len(sessions),
     }
     return EvalReport(seg, count_loa, metrics, points, config_echo)
 

@@ -40,7 +40,7 @@ SCALING_DEGREE = {
 }
 
 
-def power_spectrum(signal, fs: float = SAMPLE_RATE_HZ):
+def power_spectrum(signal):
     """One-sided power spectrum of the mean-removed signal.
 
     Normalized so that sum(power) equals the time-domain energy
@@ -58,7 +58,7 @@ def power_spectrum(signal, fs: float = SAMPLE_RATE_HZ):
     scale[0] = 1.0
     if n % 2 == 0:
         scale[-1] = 1.0
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    freqs = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
     return freqs, power * scale
 
 
@@ -74,12 +74,12 @@ def _entropy_of_power(power: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum() / np.log(p.size))
 
 
-def spectral_entropy(signal, fs: float = SAMPLE_RATE_HZ) -> float:
+def spectral_entropy(signal) -> float:
     """Normalized Shannon entropy of the power spectrum, in [0, 1].
 
     A zero spectrum (constant signal) maps to 0.
     """
-    _, power = power_spectrum(signal, fs)
+    _, power = power_spectrum(signal)
     return _entropy_of_power(power)
 
 
@@ -117,8 +117,8 @@ def _time_features(x: np.ndarray) -> list[float]:
     ]
 
 
-def _freq_features(x: np.ndarray, fs: float) -> list[float]:
-    freqs, power = power_spectrum(x, fs)
+def _freq_features(x: np.ndarray) -> list[float]:
+    freqs, power = power_spectrum(x)
     total = power.sum()
     if total <= 0:
         return [0.0] * len(FREQ_FEATURES)
@@ -135,12 +135,12 @@ def _freq_features(x: np.ndarray, fs: float) -> list[float]:
             rolloff, low, mid]
 
 
-def extract_channel_features(signal, fs: float = SAMPLE_RATE_HZ) -> np.ndarray:
+def extract_channel_features(signal) -> np.ndarray:
     """The 24 catalog features of one channel, in catalog order."""
     x = np.asarray(signal, dtype=np.float64)
     if x.size < 4:
         raise ValueError("need at least 4 samples (kurtosis)")
-    return np.array(_time_features(x) + _freq_features(x, fs))
+    return np.array(_time_features(x) + _freq_features(x))
 
 
 def feature_names() -> list[str]:
@@ -153,7 +153,6 @@ def extract_feature_vector(
     window: np.ndarray,
     class_id: int,
     vocab: ClassVocabulary = DEFAULT_VOCAB,
-    fs: float = SAMPLE_RATE_HZ,
 ) -> np.ndarray:
     """145-value feature vector of a W x 6 ROI window plus the jump type.
 
@@ -164,7 +163,7 @@ def extract_feature_vector(
     if window.ndim != 2 or window.shape[1] != len(CHANNEL_NAMES):
         raise ValueError(f"window must be W x {len(CHANNEL_NAMES)}")
     ordinal = vocab.jump_ordinal(class_id)  # raises for non-eligible classes
-    parts = [extract_channel_features(window[:, c], fs)
+    parts = [extract_channel_features(window[:, c])
              for c in range(window.shape[1])]
     parts.append(np.array([float(ordinal)]))
     vec = np.concatenate(parts)

@@ -8,11 +8,15 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 PROB_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class DimensionError(ValueError):
@@ -65,8 +69,29 @@ def array_to_doc(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
 
 
-def array_from_doc(doc) -> np.ndarray:
-    return np.array(doc["data"], dtype=np.float64).reshape(doc["shape"])
+def array_from_doc(doc, name: str) -> np.ndarray:
+    """The array of an `array_to_doc` document; a malformed one raises a
+    ValueError naming the field `name` it was read from."""
+    shape = doc.get("shape") if isinstance(doc, dict) else None
+    data = doc.get("data") if isinstance(doc, dict) else None
+    if not (isinstance(shape, list) and isinstance(data, list)
+            and all(type(d) is int and d >= 0 for d in shape)
+            and all(type(v) in (int, float) for v in data)
+            and len(data) == math.prod(shape)):
+        raise ValueError(f"field {name!r} must be an array: a 'shape' list "
+                         f"of dims and a 'data' list of that many numbers")
+    return np.array(data, dtype=np.float64).reshape(shape)
+
+
+def doc_field(doc: dict, key: str, *types):
+    """`doc[key]` if its JSON type is one of `types`, else a ValueError that
+    names the field; a missing key raises KeyError(key)."""
+    value = doc[key]
+    if type(value) not in types:  # so a bool is no int
+        expected = " or ".join(sorted({t.__name__ for t in types}))
+        raise ValueError(f"field {key!r} must be {expected}, "
+                         f"not {type(value).__name__}")
+    return value
 
 
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:
@@ -207,9 +232,6 @@ class AdamState:
     """Bias-corrected Adam over a flat list of parameter arrays."""
 
     lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
@@ -225,7 +247,7 @@ def adam_step(
         state.first_moment = [np.zeros_like(p) for p in params]
         state.second_moment = [np.zeros_like(p) for p in params]
     state.step += 1
-    b1, b2, t = state.beta1, state.beta2, state.step
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if p.shape != g.shape:
             raise DimensionError(f"param shape {p.shape} != grad shape {g.shape}")
@@ -235,4 +257,4 @@ def adam_step(
         v += (1 - b2) * g * g
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + state.epsilon)
+        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)

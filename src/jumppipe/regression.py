@@ -345,6 +345,9 @@ _TREE_FIELDS = {"feature": (int,), "threshold": (int, float),
 def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
     """Per-node arrays from a checkpoint, checked so that every walk from the
     root ends at a leaf."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"field {where!r} must be dict, "
+                         f"not {type(doc).__name__}")
     n = len(doc["feature"]) if isinstance(doc["feature"], list) else 0
     for name, types in _TREE_FIELDS.items():
         col = doc[name]
@@ -389,13 +392,13 @@ def to_doc(model: TrainedRegressor) -> dict:
     return doc
 
 
-def from_doc(kind: str, doc) -> TrainedRegressor:
-    if doc["catalog_version"] != CATALOG_VERSION:
+def from_doc(kind: str, doc: dict) -> TrainedRegressor:
+    version = nncore.doc_field(doc, "catalog_version", int)
+    if version != CATALOG_VERSION:
         raise ValueError(
-            f"regressor was fit on feature catalog version "
-            f"{doc['catalog_version']}, this build extracts version "
-            f"{CATALOG_VERSION}")
-    input_dim = doc["input_dim"]
+            f"regressor was fit on feature catalog version {version}, this "
+            f"build extracts version {CATALOG_VERSION}")
+    input_dim = nncore.doc_field(doc, "input_dim", int)
     if kind in ("rf", "gbt"):
         trees = doc["trees"]
         if not isinstance(trees, list) or (kind == "rf" and not trees):
@@ -404,23 +407,29 @@ def from_doc(kind: str, doc) -> TrainedRegressor:
         payload = {"trees": [_tree_from_doc(t, input_dim, f"trees[{k}]")
                              for k, t in enumerate(trees)]}
         if kind == "gbt":
-            _check_eta(doc["eta"])
-            payload.update(base=doc["base"], eta=doc["eta"])
+            eta = nncore.doc_field(doc, "eta", int, float)
+            _check_eta(eta)
+            payload.update(base=float(nncore.doc_field(doc, "base", int, float)),
+                           eta=eta)
     elif kind == "mlp":
-        payload = {
-            "mu": nncore.array_from_doc(doc["mu"]),
-            "sigma": nncore.array_from_doc(doc["sigma"]),
-            "layers": [
-                nncore.ConvKernel(weights=nncore.array_from_doc(l["w"]),
-                                  bias=nncore.array_from_doc(l["b"]))
-                for l in doc["layers"]
-            ],
-        }
-        widths = [payload["mu"].shape, payload["sigma"].shape,
-                  tuple(l.in_channels for l in payload["layers"][:1])]
-        if widths != [(input_dim,)] * 3:
-            raise ValueError(f"field 'input_dim' is {input_dim}, but mu, sigma "
-                             f"and the first layer have widths {widths}")
+        payload = {k: nncore.array_from_doc(doc[k], k) for k in ("mu", "sigma")}
+        widths = [payload["mu"].shape, payload["sigma"].shape]
+        if widths != [(input_dim,)] * 2:
+            raise ValueError(f"field 'input_dim' is {input_dim}, but mu and "
+                             f"sigma have widths {widths}")
+        payload["layers"], width = [], input_dim  # width: the next layer's input
+        for k, layer in enumerate(nncore.doc_field(doc, "layers", list)):
+            layer = layer if isinstance(layer, dict) else {}
+            w, b = (nncore.array_from_doc(layer.get(p), f"layers[{k}].{p}")
+                    for p in "wb")
+            if w.ndim != 3 or w.shape[:2] != (1, width) or b.shape != w.shape[2:]:
+                raise ValueError(f"field 'layers[{k}]' has shapes w {w.shape} "
+                                 f"and b {b.shape}, expected (1, {width}, n) "
+                                 f"and (n,)")
+            payload["layers"].append(nncore.ConvKernel(w, b))
+            width = w.shape[2]
+        if not payload["layers"] or width != 1:
+            raise ValueError("field 'layers' must end in one output")
     else:
         raise ValueError(f"unknown regressor kind {kind!r}")
     return TrainedRegressor(kind, payload, input_dim)
@@ -438,6 +447,9 @@ def permutation_importance(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if np.ptp(y) == 0:
+        raise ValueError("permutation importance undefined for constant "
+                         "targets (R^2 has no variance to explain)")
 
     def r2(pred):
         ss_tot = ((y - y.mean()) ** 2).sum()

@@ -54,6 +54,8 @@ class ClassVocabulary:
         return ids.index(class_id)
 
 
+# The pipeline's one vocabulary: every label file, the TCN's class count and
+# the jump ordinal feature assume it, and no checkpoint records its names.
 DEFAULT_VOCAB = ClassVocabulary()
 
 
@@ -130,9 +132,7 @@ def extract_segments(labels, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[Seg
                                                  classes[keep].tolist())]
 
 
-def segments_to_labels(
-    segments, length: int, vocab: ClassVocabulary = DEFAULT_VOCAB
-) -> np.ndarray:
+def segments_to_labels(segments, length: int) -> np.ndarray:
     """Inverse of extract_segments; background everywhere else."""
     labels = np.zeros(length, dtype=np.int64)
     occupied = np.zeros(length, dtype=bool)
@@ -179,6 +179,11 @@ def iou(a: Segment, b: Segment) -> float:
     return inter / union
 
 
+def check_iou_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # also rejects nan
+        raise ValueError(f"IoU threshold must lie in [0, 1], got {threshold}")
+
+
 def match_segments(
     pred, truth, threshold: float = DEFAULT_IOU_THRESHOLD
 ) -> MatchResult:
@@ -187,6 +192,7 @@ def match_segments(
     Ties break on earlier truth start, then earlier pred start. Matched pairs
     are TPs; leftover predictions are FPs, leftover truths FNs.
     """
+    check_iou_threshold(threshold)
     pred = list(pred)
     truth = list(truth)
     candidates = []
@@ -217,11 +223,12 @@ def match_segments(
     return result
 
 
-def jump_counts(segments, vocab: ClassVocabulary = DEFAULT_VOCAB) -> dict:
+def jump_counts(segments) -> dict:
     """Per-class counts of height-eligible segments, plus their total."""
-    counts = {vocab.names[i]: 0 for i in vocab.eligible_ids()}
+    names = DEFAULT_VOCAB.names
+    counts = {names[i]: 0 for i in DEFAULT_VOCAB.eligible_ids()}
     for seg in segments:
-        if vocab.is_jump(seg.class_id):
-            counts[vocab.names[seg.class_id]] += 1
-    counts["total"] = sum(counts[vocab.names[i]] for i in vocab.eligible_ids())
+        if DEFAULT_VOCAB.is_jump(seg.class_id):
+            counts[names[seg.class_id]] += 1
+    counts["total"] = sum(counts.values())
     return counts

@@ -10,12 +10,13 @@ of the previous stage's logits and refine it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import nncore
 from .nncore import AdamState, ConvKernel, DimensionError, LossConfig
+from .segmentation import DEFAULT_VOCAB
 
 
 @dataclass
@@ -24,11 +25,13 @@ class SsTcnConfig:
     num_filters: int = 64
     kernel_size: int = 3
     in_channels: int = 6
-    num_classes: int = 8
+    num_classes: int = DEFAULT_VOCAB.num_classes
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
+        for name in ("num_layers", "num_filters", "kernel_size", "in_channels",
+                     "num_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def receptive_field(self) -> int:
         rf = 1
@@ -84,36 +87,21 @@ class ModelWeights:
 
 def config_to_doc(config: MsTcnConfig) -> dict:
     """Flat JSON-ready form of a config: the checkpoint body and run echoes."""
-    return {
-        "num_stages": config.num_stages,
-        "num_layers": config.stage.num_layers,
-        "num_filters": config.stage.num_filters,
-        "kernel_size": config.stage.kernel_size,
-        "in_channels": config.stage.in_channels,
-        "num_classes": config.stage.num_classes,
-        "lambda_tmse": config.loss.lambda_tmse,
-        "tau": config.loss.tau,
-        "epochs": config.epochs,
-        "lr": config.lr,
-        "seed": config.seed,
-    }
+    return {"num_stages": config.num_stages, **asdict(config.stage),
+            **asdict(config.loss), "epochs": config.epochs, "lr": config.lr,
+            "seed": config.seed}
 
 
-def config_from_doc(doc) -> MsTcnConfig:
-    return MsTcnConfig(
-        num_stages=doc["num_stages"],
-        stage=SsTcnConfig(
-            num_layers=doc["num_layers"],
-            num_filters=doc["num_filters"],
-            kernel_size=doc["kernel_size"],
-            in_channels=doc["in_channels"],
-            num_classes=doc["num_classes"],
-        ),
-        loss=LossConfig(lambda_tmse=doc["lambda_tmse"], tau=doc["tau"]),
-        epochs=doc["epochs"],
-        lr=doc["lr"],
-        seed=doc["seed"],
-    )
+def config_from_doc(doc: dict) -> MsTcnConfig:
+    # each field has the type of its default; an int passes for a float
+    for key, default in config_to_doc(MsTcnConfig()).items():
+        nncore.doc_field(doc, key, int, type(default))
+
+    def part(cls):
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+
+    return MsTcnConfig(doc["num_stages"], part(SsTcnConfig), part(LossConfig),
+                       doc["epochs"], doc["lr"], doc["seed"])
 
 
 def weights_to_doc(weights: ModelWeights) -> dict:
@@ -126,10 +114,10 @@ def weights_to_doc(weights: ModelWeights) -> dict:
 
 
 def weights_from_doc(doc) -> ModelWeights:
-    weights = build_mstcn(config_from_doc(doc["config"]))
-    params = doc["params"]
+    weights = build_mstcn(config_from_doc(nncore.doc_field(doc, "config", dict)))
+    params = nncore.doc_field(doc, "params", dict)
     for name, arr in weights.named_params():
-        saved = nncore.array_from_doc(params[name])
+        saved = nncore.array_from_doc(params[name], f"params.{name}")
         if saved.shape != arr.shape:
             raise ValueError(f"checkpoint parameter {name} has shape "
                              f"{saved.shape}, expected {arr.shape}")
@@ -144,11 +132,10 @@ def _init_kernel(rng, k: int, cin: int, cout: int, dilation: int = 1) -> ConvKer
     return ConvKernel(weights=w, bias=b, dilation=dilation)
 
 
-def build_mstcn(config: MsTcnConfig, seed: int | None = None) -> ModelWeights:
-    """Deterministic uniform +-1/sqrt(fan_in) initialization from seed."""
-    if seed is None:
-        seed = config.seed
-    rng = np.random.default_rng(seed)
+def build_mstcn(config: MsTcnConfig) -> ModelWeights:
+    """Deterministic uniform +-1/sqrt(fan_in) initialization from the
+    config's seed."""
+    rng = np.random.default_rng(config.seed)
     sc = config.stage
     stages = []
     for s in range(config.num_stages):
@@ -200,8 +187,9 @@ def sstcn_backward(stage: StageWeights, cache, grad_logits: np.ndarray):
     return grads, gx
 
 
-def mstcn_forward(weights: ModelWeights, x: np.ndarray, with_cache: bool = False):
-    """Run all stages; returns list of per-stage probability sequences."""
+def mstcn_forward(weights: ModelWeights, x: np.ndarray):
+    """Run all stages; returns the per-stage probability sequences and the
+    per-stage caches for backward."""
     x = nncore.as_tensor2(x)
     sc = weights.config.stage
     if x.shape[1] != sc.in_channels:
@@ -216,15 +204,13 @@ def mstcn_forward(weights: ModelWeights, x: np.ndarray, with_cache: bool = False
         probs_list.append(probs)
         caches.append(cache)
         inp = probs
-    if with_cache:
-        return probs_list, caches
-    return probs_list
+    return probs_list, caches
 
 
 def _loss_and_grads(weights: ModelWeights, x: np.ndarray, labels: np.ndarray):
     """Total loss over all stages and gradients for every parameter."""
     cfg = weights.config
-    probs_list, caches = mstcn_forward(weights, x, with_cache=True)
+    probs_list, caches = mstcn_forward(weights, x)
     total = 0.0
     for probs in probs_list:
         total += nncore.cross_entropy_loss(probs, labels)
@@ -282,7 +268,6 @@ def predict(weights: ModelWeights, session) -> tuple[np.ndarray, np.ndarray]:
 
     Ties break toward the lowest class index.
     """
-    probs_list = mstcn_forward(weights, session.samples)
-    probs = probs_list[-1]
+    probs = mstcn_forward(weights, session.samples)[0][-1]
     labels = np.argmax(probs, axis=1)
     return probs, labels

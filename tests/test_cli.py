@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from jumppipe import dataio, features, tcn
+from jumppipe import dataio, features, regression, tcn
 from jumppipe import segmentation as seg
 from jumppipe.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_dispatch
 from jumppipe.segmentation import Segment
@@ -27,6 +27,10 @@ def small_dataset(tmp_path_factory):
         dataio.write_session_csv(sess, root / f"{sess.subject_id}.csv")
     dataio.write_heights(heights, root / "heights.csv")
     return root
+
+
+def _refuse_training(*args, **kwargs):
+    raise AssertionError("a fold was trained before the bad flag was refused")
 
 
 class TestSynth:
@@ -96,6 +100,51 @@ class TestErrors:
                            "--out", str(tmp_path / "out")])
         assert rc == EXIT_VALIDATION
         assert "features.csv:4: non-finite" in capsys.readouterr().err
+
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return lines[0]
+
+    @pytest.mark.parametrize("filters", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_filters_below_one_rejected(self, small_dataset, tmp_path, capsys,
+                                        monkeypatch, command, filters):
+        monkeypatch.setattr(tcn, "train", _refuse_training)
+        argv = [command, "--data", str(small_dataset), *TINY_TCN,
+                "--filters", filters, "--out", str(tmp_path / "out")]
+        assert cli_dispatch(argv) == EXIT_VALIDATION
+        assert "num_filters must be >= 1" in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threshold", ["2", "-1", "nan"])
+    @pytest.mark.parametrize("command", ["eval-seg", "pipeline"])
+    def test_iou_threshold_outside_unit_interval_rejected(
+            self, small_dataset, tmp_path, capsys, monkeypatch, command,
+            threshold):
+        monkeypatch.setattr(tcn, "train", _refuse_training)
+        segs = tmp_path / "segs.csv"
+        dataio.write_annotations([Segment(10, 60, 1)], segs)
+        inputs = {"eval-seg": ["--pred", str(segs), "--truth", str(segs)],
+                  "pipeline": ["--data", str(small_dataset), *TINY_TCN]}
+        rc = cli_dispatch([command, *inputs[command], "--threshold", threshold,
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert "IoU threshold must lie in [0, 1]" in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_reg_on_constant_heights_rejected(self, tmp_path, capsys):
+        X = np.random.default_rng(0).normal(size=(20, 145))
+        model = regression.fit("rf", X, X[:, 0], regression.RfConfig(
+            n_estimators=2))
+        dataio.save_checkpoint(model, tmp_path / "r.ckpt")
+        dataio.write_feature_csv(X, np.full(20, 0.3), tmp_path / "f.csv")
+        rc = cli_dispatch(["eval-reg", "--model", str(tmp_path / "r.ckpt"),
+                           "--features", str(tmp_path / "f.csv"),
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert "constant truth" in self._one_error_line(capsys)
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         rc = cli_dispatch(["eval-reg", "--model", str(tmp_path / "no.ckpt"),

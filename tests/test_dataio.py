@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -347,6 +348,39 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=rf"bad\.ckpt: .*{message}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind, keys, value, field", [
+        ("mstcn", ("params",), 5, "params"),
+        ("mstcn", ("config",), 5, "config"),
+        ("mstcn", ("params", "stage0.conv_in.w"), 5, "params.stage0.conv_in.w"),
+        ("mstcn", ("config", "num_layers"), "3", "num_layers"),
+        ("mstcn", ("config", "lr"), None, "lr"),
+        ("mlp", ("mu",), 5, "mu"),
+        ("mlp", ("layers",), 5, "layers"),
+        ("mlp", ("mu",), {"shape": [3], "data": [1.0]}, "mu"),
+        ("mlp", ("layers", 0), 5, "layers[0].w"),
+        ("mlp", ("layers", 1), {"w": {"shape": [1, 3, 1], "data": [0, 0, 0]},
+                                "b": {"shape": [1], "data": [0]}}, "layers[1]"),
+        ("gbt", ("base",), "x", "base"),
+        ("gbt", ("input_dim",), "145", "input_dim"),
+        ("gbt", ("eta",), True, "eta"),
+        ("gbt", ("trees", 0), 5, "trees[0]"),
+    ], ids=["tcn-params", "tcn-config", "tcn-param", "tcn-num-layers",
+            "tcn-lr", "mlp-mu", "mlp-layers", "mlp-mu-size", "mlp-layer",
+            "mlp-layer-width", "gbt-base", "gbt-input-dim", "gbt-eta-bool",
+            "gbt-tree"])
+    def test_wrongly_typed_field_named(self, kind, keys, value, field,
+                                       tmp_path):
+        doc = self._saved_doc(kind, tmp_path)
+        target = doc
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=rf"bad\.ckpt: field '{re.escape(field)}'"):
+            load_checkpoint(path)
+
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text(json.dumps({"magic": "NOPE", "format_version": 1}))
@@ -373,7 +407,7 @@ class TestCheckpoints:
                                   in_channels=6, num_classes=8),
         )
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tcn.build_mstcn(config, seed=0), path)
+        save_checkpoint(tcn.build_mstcn(config), path)
         with pytest.raises(ValueError, match="regressor"):
             load_checkpoint(path, expect="regressor")
 
@@ -404,7 +438,7 @@ class TestSyntheticGenerator:
 
     def test_flight_plateau_length(self):
         # h = 0.45 m -> ~0.606 s -> ~61 samples of near-zero vertical accel
-        sig, span, n_flight = dataio._jump_event("CMJ", 0.45, fs=100)
+        sig, span, n_flight = dataio._jump_event("CMJ", 0.45)
         assert n_flight == round(flight_time_s(0.45) * 100)
         assert n_flight == 61
         ay = sig[:, 1]
@@ -416,7 +450,7 @@ class TestSyntheticGenerator:
         sessions, records = synth_generate(cfg)
         sess = sessions[0]
         rec = records[0]
-        sig, span, _ = dataio._jump_event("CMJ", rec.height_m, fs=100)
+        sig, span, _ = dataio._jump_event("CMJ", rec.height_m)
         start = rec.segment.start - span[0]
         np.testing.assert_allclose(
             sess.samples[start : start + sig.shape[0]], sig
@@ -437,7 +471,7 @@ class TestSyntheticGenerator:
                               session_duration_s=15.0, seed=6)
         _, records = synth_generate(cfg)
         assert len(records) == 3
-        lo, hi = cfg.height_range_m
+        lo, hi = dataio.HEIGHT_RANGE_M
         for r in records:
             assert lo <= r.height_m <= hi
 

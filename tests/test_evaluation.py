@@ -101,6 +101,17 @@ class TestRegressionMetrics:
         with pytest.raises(ValueError):
             r_squared([2, 2, 2], [1, 2, 3])
 
+    def test_constant_truth_with_rounded_mean_rejected(self):
+        # twenty heights of 0.3 have a mean of 0.29999999999999993, so the
+        # sum of squares about it is not 0
+        truth = np.full(20, 0.3)
+        with pytest.raises(ValueError, match="constant truth"):
+            r_squared(truth, np.full(20, 0.30000000000000004))
+        with pytest.raises(ValueError, match="constant series"):
+            pearson_r(truth, np.arange(20.0))
+        with pytest.raises(ValueError, match="constant series"):
+            pearson_r(np.arange(20.0), truth)
+
     def test_rmse_examples(self):
         assert rmse([1, 2, 3], [1, 2, 3]) == 0.0
         assert rmse([1, 2, 3], [1, 2, 5]) == pytest.approx(math.sqrt(4 / 3),

@@ -17,7 +17,7 @@ class TestPowerSpectrum:
 
     def test_sine_dominant_bin(self):
         t = np.arange(300) / 100.0
-        freqs, power = power_spectrum(np.sin(2 * np.pi * 5.0 * t), fs=100)
+        freqs, power = power_spectrum(np.sin(2 * np.pi * 5.0 * t))
         assert np.argmax(power) == 15
         assert freqs[15] == pytest.approx(5.0)
 
@@ -47,7 +47,7 @@ class TestSpectralEntropy:
 
     def test_pure_tone_is_concentrated(self):
         t = np.arange(300) / 100.0
-        value = spectral_entropy(np.sin(2 * np.pi * 5.0 * t), fs=100)
+        value = spectral_entropy(np.sin(2 * np.pi * 5.0 * t))
         assert value < 0.2
         # the tone sits exactly on bin 15, so leakage is float noise only
         assert value < 1e-12

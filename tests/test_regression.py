@@ -256,6 +256,17 @@ class TestMlp:
 
 
 class TestPermutationImportance:
+    def test_constant_targets_rejected_before_predicting(self, monkeypatch):
+        X = np.random.default_rng(12).normal(size=(20, 3))
+        y = np.full(20, 0.3)  # mean 0.29999999999999993: rounding hides it
+        model = fit_rf(X, X[:, 0], RfConfig(n_estimators=2, seed=0))
+
+        def refuse(*args):
+            raise AssertionError("predict called")
+        monkeypatch.setattr(reg, "predict", refuse)
+        with pytest.raises(ValueError, match="constant targets"):
+            permutation_importance(model, X, y, repeats=2, seed=0)
+
     def test_unused_feature_zero_importance(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(60, 3))

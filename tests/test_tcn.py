@@ -36,20 +36,20 @@ def overfit_run(overfit_session):
 
 class TestBuild:
     def test_same_seed_identical(self):
-        cfg = small_config()
-        a = tcn.build_mstcn(cfg, seed=5)
-        b = tcn.build_mstcn(cfg, seed=5)
+        cfg = small_config(seed=5)
+        a = tcn.build_mstcn(cfg)
+        b = tcn.build_mstcn(cfg)
         for (na, pa), (nb, pb) in zip(a.named_params(), b.named_params()):
             assert na == nb
             assert pa.tobytes() == pb.tobytes()
 
     def test_single_stage(self):
-        w = tcn.build_mstcn(small_config(num_stages=1), seed=0)
+        w = tcn.build_mstcn(small_config(num_stages=1, seed=0))
         assert len(w.stages) == 1
 
     def test_param_count_matches_formula(self):
         cfg = tcn.MsTcnConfig()  # defaults: 4 stages, 10 layers, 64 filters
-        w = tcn.build_mstcn(cfg, seed=0)
+        w = tcn.build_mstcn(cfg)
         F, J, C, L, k = 64, 8, 6, 10, 3
         per_stage_blocks = L * ((k * F * F + F) + (F * F + F))
         expected = 0
@@ -61,7 +61,7 @@ class TestBuild:
 
 class TestForward:
     def test_zero_weights_zero_logits(self):
-        w = tcn.build_mstcn(small_config(num_stages=1), seed=0)
+        w = tcn.build_mstcn(small_config(num_stages=1, seed=0))
         for p in w.params():
             p[...] = 0.0
         logits, _ = tcn.sstcn_forward(w.stages[0], np.ones((6, 3)))
@@ -69,7 +69,7 @@ class TestForward:
 
     @pytest.mark.parametrize("T", [1, 2, 17])
     def test_output_shape(self, T):
-        w = tcn.build_mstcn(small_config(), seed=1)
+        w = tcn.build_mstcn(small_config(seed=1))
         logits, _ = tcn.sstcn_forward(w.stages[0], np.ones((T, 3)))
         assert logits.shape == (T, 3)
 
@@ -78,21 +78,21 @@ class TestForward:
         assert tcn.SsTcnConfig(num_layers=2).receptive_field() == 7
 
     def test_stage_chaining_single(self):
-        w = tcn.build_mstcn(small_config(num_stages=1), seed=2)
+        w = tcn.build_mstcn(small_config(num_stages=1, seed=2))
         x = np.random.default_rng(0).normal(size=(12, 3))
-        probs = tcn.mstcn_forward(w, x)
+        probs, _ = tcn.mstcn_forward(w, x)
         assert len(probs) == 1
         logits, _ = tcn.sstcn_forward(w.stages[0], x)
         np.testing.assert_allclose(probs[0], nncore.softmax_rows(logits))
 
     def test_all_stage_rows_sum_to_one(self):
-        w = tcn.build_mstcn(small_config(num_stages=3), seed=2)
+        w = tcn.build_mstcn(small_config(num_stages=3, seed=2))
         x = np.random.default_rng(1).normal(size=(20, 3))
-        for probs in tcn.mstcn_forward(w, x):
+        for probs in tcn.mstcn_forward(w, x)[0]:
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_channel_mismatch(self):
-        w = tcn.build_mstcn(small_config(), seed=0)
+        w = tcn.build_mstcn(small_config(seed=0))
         with pytest.raises(DimensionError):
             tcn.mstcn_forward(w, np.zeros((5, 4)))
 
@@ -100,8 +100,8 @@ class TestForward:
     def test_temporal_locality(self, num_layers, T, t):
         cfg = small_config(num_stages=1, num_layers=num_layers,
                            num_filters=8 if num_layers == 2 else 64,
-                           in_channels=3, num_classes=3)
-        w = tcn.build_mstcn(cfg, seed=3)
+                           in_channels=3, num_classes=3, seed=3)
+        w = tcn.build_mstcn(cfg)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(T, 3))
         base, _ = tcn.sstcn_forward(w.stages[0], x)
@@ -146,7 +146,7 @@ class TestTrain:
 
     def test_final_stage_refines_first(self, overfit_run, overfit_session):
         weights, _ = overfit_run
-        probs = tcn.mstcn_forward(weights, overfit_session.samples)
+        probs, _ = tcn.mstcn_forward(weights, overfit_session.samples)
         first = np.argmax(probs[0], axis=1)
         last = np.argmax(probs[-1], axis=1)
         truth = overfit_session.labels
@@ -155,14 +155,14 @@ class TestTrain:
 
 class TestPredict:
     def test_single_sample(self):
-        w = tcn.build_mstcn(small_config(in_channels=6, num_classes=8), seed=0)
+        w = tcn.build_mstcn(small_config(in_channels=6, num_classes=8, seed=0))
         sess = dataio.ImuSession("a", np.zeros((1, 6)))
         probs, labels = tcn.predict(w, sess)
         assert probs.shape == (1, 8)
         assert labels.shape == (1,)
 
     def test_deterministic(self):
-        w = tcn.build_mstcn(small_config(in_channels=6, num_classes=8), seed=0)
+        w = tcn.build_mstcn(small_config(in_channels=6, num_classes=8, seed=0))
         sess = dataio.ImuSession("a", np.random.default_rng(2).normal(size=(30, 6)))
         _, l1 = tcn.predict(w, sess)
         _, l2 = tcn.predict(w, sess)
@@ -178,7 +178,7 @@ class TestPredict:
         )
 
     def test_label_length_equals_input_length(self):
-        w = tcn.build_mstcn(small_config(in_channels=6, num_classes=8), seed=0)
+        w = tcn.build_mstcn(small_config(in_channels=6, num_classes=8, seed=0))
         for n in (1, 5, 33):
             sess = dataio.ImuSession("a", np.zeros((n, 6)))
             _, labels = tcn.predict(w, sess)
