@@ -325,10 +325,13 @@ class SyntheticConfig:
     script_seed: int | None = None  # pin separately to vary only the noise
 
     def __post_init__(self):
-        if self.session_duration_s <= 0:
-            raise ValueError("session_duration_s must be positive")
-        if self.noise_std_g < 0:
-            raise ValueError("noise_std_g must be >= 0")
+        if self.num_subjects < 1:
+            raise ValueError("num_subjects must be >= 1")
+        if not (math.isfinite(self.session_duration_s)
+                and self.session_duration_s > 0):
+            raise ValueError("session_duration_s must be positive and finite")
+        if not (math.isfinite(self.noise_std_g) and self.noise_std_g >= 0):
+            raise ValueError("noise_std_g must be >= 0 and finite")
 
 
 def flight_time_s(height_m: float) -> float:

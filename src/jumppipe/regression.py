@@ -4,7 +4,9 @@ feature importance.
 
 Trees are CART-style with the squared-error criterion: greedy best split by
 sum-of-squared-error reduction, midpoint split candidates, best-first growth
-under a leaf budget.
+under a leaf budget. The split search is exact and covers all candidate
+features of a node in one vectorised pass. Permutation importance makes one
+predict call per feature, over all its permuted repeats stacked together.
 """
 
 from __future__ import annotations
@@ -81,38 +83,45 @@ class Tree:
 
 
 def _best_split(X, y, idx, features):
-    """Best (gain, feature, threshold) over candidate features.
+    """Best (gain, feature, threshold, order, cut) over candidate features,
+    or None when no feature has two distinct values among the rows `idx`.
 
     Gain is the SSE reduction; split candidates are midpoints between
-    consecutive distinct sorted values. Ties break toward the lower feature
-    index, then the lower threshold.
+    consecutive distinct sorted values. `order` sorts `idx` by the chosen
+    feature and its first `cut` rows go left. Ties break toward the earlier
+    candidate feature, then the lower threshold.
+
+    All candidate features are searched in one pass: gains[k, c] is the gain
+    of sending the k + 1 smallest values of candidate c to the left.
     """
+    features = np.asarray(features, dtype=np.int64)
     yi = y[idx]
     n = idx.size
     total_sum = yi.sum()
     total_sq = (yi**2).sum()
     parent_sse = total_sq - total_sum**2 / n
-    best = None
-    for f in features:
-        xv = X[idx, f]
-        order = np.argsort(xv, kind="stable")
-        xs = xv[order]
-        ys = yi[order]
-        csum = np.cumsum(ys)
-        distinct = np.nonzero(np.diff(xs))[0]  # split after position i
-        if distinct.size == 0:
-            continue
-        nl = distinct + 1
-        nr = n - nl
-        sl = csum[distinct]
-        sr = total_sum - sl
-        gains = parent_sse - (total_sq - sl**2 / nl - sr**2 / nr)
-        k = int(np.argmax(gains))
-        gain = float(gains[k])
-        thr = (xs[distinct[k]] + xs[distinct[k] + 1]) / 2.0
-        if best is None or gain > best[0] + 1e-15:
-            best = (gain, f, thr, order, distinct[k] + 1)
-    return best
+    xv = X[np.ix_(idx, features)]
+    order = np.argsort(xv, axis=0, kind="stable")
+    xs = np.take_along_axis(xv, order, axis=0)
+    sl = np.cumsum(yi[order], axis=0)[:-1]
+    nl = np.arange(1, n)[:, None]
+    sr = total_sum - sl
+    gains = parent_sse - (total_sq - sl**2 / nl - sr**2 / (n - nl))
+    distinct = xs[1:] != xs[:-1]
+    gains[~distinct] = -np.inf
+    cuts = gains.argmax(axis=0)
+    col_gains = gains[cuts, np.arange(features.size)].tolist()
+    best, j = None, None
+    # Sequential, so a later feature must beat the best so far by 1e-15.
+    for c, (gain, has_cut) in enumerate(zip(col_gains,
+                                            distinct.any(axis=0).tolist())):
+        if has_cut and (best is None or gain > best + 1e-15):
+            best, j = gain, c
+    if j is None:
+        return None
+    k = cuts[j]
+    thr = (xs[k, j] + xs[k + 1, j]) / 2.0
+    return best, features[j], thr, order[:, j], k + 1
 
 
 def fit_tree(
@@ -447,6 +456,8 @@ def permutation_importance(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if np.ptp(y) == 0:
         raise ValueError("permutation importance undefined for constant "
                          "targets (R^2 has no variance to explain)")
@@ -457,13 +468,16 @@ def permutation_importance(
 
     baseline = r2(predict(model, X))
     rng = np.random.default_rng(seed)
+    # The repeats of one column are stacked and predicted together; stacking
+    # every column too would hold repeats * rows * features**2 values.
+    stacked = np.tile(X, (repeats, 1))
     importances = []
     for j in range(X.shape[1]):
-        drops = []
-        for _ in range(repeats):
-            Xp = X.copy()
-            Xp[:, j] = rng.permutation(Xp[:, j])
-            drops.append(baseline - r2(predict(model, Xp)))
+        stacked[:, j] = np.concatenate([rng.permutation(X[:, j])
+                                        for _ in range(repeats)])
+        preds = predict(model, stacked).reshape(repeats, -1)
+        stacked[:, j] = np.tile(X[:, j], repeats)
+        drops = [baseline - r2(pred) for pred in preds]
         importances.append((j, float(np.mean(drops))))
     importances.sort(key=lambda t: (-t[1], t[0]))
     return importances

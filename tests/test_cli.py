@@ -146,6 +146,35 @@ class TestErrors:
         assert rc == EXIT_VALIDATION
         assert "constant truth" in self._one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--subjects", "0", "num_subjects must be >= 1"),
+        ("--noise", "nan", "noise_std_g must be >= 0 and finite"),
+        ("--duration", "inf", "session_duration_s must be positive and finite"),
+        ("--duration", "nan", "session_duration_s must be positive and finite"),
+    ])
+    def test_synth_bad_value_rejected(self, tmp_path, capsys, flag, value,
+                                      message):
+        rc = cli_dispatch(["synth", "--subjects", "1", flag, value,
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert message in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_importance_repeats_below_one_rejected(self, tmp_path, capsys,
+                                                   repeats):
+        X = np.random.default_rng(0).normal(size=(20, 145))
+        model = regression.fit("rf", X, X[:, 0], regression.RfConfig(
+            n_estimators=2))
+        dataio.save_checkpoint(model, tmp_path / "r.ckpt")
+        dataio.write_feature_csv(X, X[:, 0], tmp_path / "f.csv")
+        rc = cli_dispatch(["importance", "--model", str(tmp_path / "r.ckpt"),
+                           "--features", str(tmp_path / "f.csv"),
+                           "--repeats", repeats, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert "repeats must be >= 1" in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         rc = cli_dispatch(["eval-reg", "--model", str(tmp_path / "no.ckpt"),
                            "--features", str(tmp_path / "no.csv"),

@@ -481,6 +481,15 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="fit"):
             synth_generate(cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_subjects", 0), ("num_subjects", -1),
+        ("noise_std_g", math.nan), ("noise_std_g", math.inf),
+        ("session_duration_s", math.inf), ("session_duration_s", math.nan),
+    ])
+    def test_invalid_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticConfig(**{field: value})
+
     def test_oracle_height_recovery(self):
         cfg = SyntheticConfig(num_subjects=1, seed=8)
         sessions, records = synth_generate(cfg)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,68 @@ def scalar_walk(tree, row):
         go_left = row[tree.feature[node]] <= tree.threshold[node]
         node = tree.left[node] if go_left else tree.right[node]
     return tree.value[node]
+
+
+def loop_best_split(X, y, idx, features):
+    """Reference split search: one argsort and one gain vector per feature,
+    as `_best_split` did before it searched all features in one pass."""
+    yi = y[idx]
+    n = idx.size
+    total_sum = yi.sum()
+    total_sq = (yi**2).sum()
+    parent_sse = total_sq - total_sum**2 / n
+    best = None
+    for f in features:
+        xv = X[idx, f]
+        order = np.argsort(xv, kind="stable")
+        xs = xv[order]
+        ys = yi[order]
+        csum = np.cumsum(ys)
+        distinct = np.nonzero(np.diff(xs))[0]  # split after position i
+        if distinct.size == 0:
+            continue
+        nl = distinct + 1
+        nr = n - nl
+        sl = csum[distinct]
+        sr = total_sum - sl
+        gains = parent_sse - (total_sq - sl**2 / nl - sr**2 / nr)
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        thr = (xs[distinct[k]] + xs[distinct[k] + 1]) / 2.0
+        if best is None or gain > best[0] + 1e-15:
+            best = (gain, f, thr, order, distinct[k] + 1)
+    return best
+
+
+def loop_permutation_importance(model, X, y, repeats, seed):
+    """Reference importance: one predict call per permuted copy."""
+    def r2(pred):
+        ss_tot = ((y - y.mean()) ** 2).sum()
+        return 1.0 - ((y - pred) ** 2).sum() / ss_tot
+
+    baseline = r2(reg.predict(model, X))
+    rng = np.random.default_rng(seed)
+    importances = []
+    for j in range(X.shape[1]):
+        drops = []
+        for _ in range(repeats):
+            Xp = X.copy()
+            Xp[:, j] = rng.permutation(Xp[:, j])
+            drops.append(baseline - r2(reg.predict(model, Xp)))
+        importances.append((j, float(np.mean(drops))))
+    importances.sort(key=lambda t: (-t[1], t[0]))
+    return importances
+
+
+def tied_fixture(seed=0, n=80):
+    """Features with many repeated values, one constant and one duplicated
+    column, so split ties and non-distinct cuts occur at most nodes."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-3, 4, size=(n, 8)).astype(float)
+    X[:, 4] = 1.5
+    X[:, 7] = X[:, 2]
+    y = X[:, 2] - 0.5 * X[:, 5] + 0.3 * rng.normal(size=n)
+    return X, y
 
 
 class TestTree:
@@ -84,6 +148,53 @@ class TestTree:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fit_tree(np.zeros((0, 2)), np.zeros(0))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_split_matches_per_feature_loop(self, data):
+        n = data.draw(st.integers(2, 25))
+        p = data.draw(st.integers(1, 6))
+        cols = []
+        for j in range(p):
+            kind = data.draw(st.sampled_from(
+                ["own", "constant", "copy"] if j else ["own", "constant"]))
+            if kind == "own":
+                cols.append(np.array(data.draw(st.lists(
+                    st.integers(-2, 2).map(float) | st.floats(-4, 4),
+                    min_size=n, max_size=n))))
+            elif kind == "constant":
+                cols.append(np.full(n, data.draw(st.floats(-4, 4))))
+            else:
+                cols.append(cols[data.draw(st.integers(0, j - 1))].copy())
+        X = np.column_stack(cols)
+        y = np.array(data.draw(st.lists(
+            st.integers(-3, 3).map(float) | st.floats(-5, 5),
+            min_size=n, max_size=n)))
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                          max_size=n)))
+        features = data.draw(
+            st.just(range(p))
+            | st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
+                       unique=True).map(np.array))
+        got = reg._best_split(X, y, idx, features)
+        want = loop_best_split(X, y, idx, features)
+        if want is None:
+            assert got is None
+            return
+        gain, f, thr, order, cut = got
+        assert (gain, f, thr, cut) == want[:3] + (want[4],)
+        assert order[:cut].tolist() == want[3][:cut].tolist()
+        assert order[cut:].tolist() == want[3][cut:].tolist()
+
+    @pytest.mark.parametrize("kind", ["rf", "gbt"])
+    def test_checkpoint_bytes_match_per_feature_loop(self, kind, monkeypatch):
+        X, y = tied_fixture()
+        config = (RfConfig(n_estimators=10, seed=3) if kind == "rf"
+                  else GbtConfig(n_estimators=15, max_depth=4))
+        got = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
+        monkeypatch.setattr(reg, "_best_split", loop_best_split)
+        want = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
+        assert got == want
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -266,6 +377,39 @@ class TestPermutationImportance:
         monkeypatch.setattr(reg, "predict", refuse)
         with pytest.raises(ValueError, match="constant targets"):
             permutation_importance(model, X, y, repeats=2, seed=0)
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_rejected_before_predicting(self, repeats,
+                                                          monkeypatch):
+        X, y = linear_fixture(seed=15, n=20, p=3)
+        model = fit_rf(X, y, RfConfig(n_estimators=2, seed=0))
+
+        def refuse(*args):
+            raise AssertionError("predict called")
+        monkeypatch.setattr(reg, "predict", refuse)
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            permutation_importance(model, X, y, repeats=repeats, seed=0)
+
+    @pytest.mark.parametrize("kind", ["rf", "gbt"])
+    def test_stacked_repeats_match_one_predict_per_repeat(self, kind):
+        X, y = tied_fixture(seed=16, n=40)
+        config = (RfConfig(n_estimators=5, seed=0) if kind == "rf"
+                  else GbtConfig(n_estimators=10, max_depth=3))
+        model = reg.fit(kind, X, y, config)
+        assert (permutation_importance(model, X, y, repeats=4, seed=2)
+                == loop_permutation_importance(model, X, y, 4, 2))
+
+    def test_stacked_repeats_match_for_mlp_within_rounding(self):
+        # BLAS may block a taller matrix product differently, so the MLP's
+        # predictions, unlike a tree's, can move in the last bits.
+        X, y = tied_fixture(seed=17, n=40)
+        model = fit_mlp_regressor(X, y, MlpRegConfig(hidden_layers=(8,),
+                                                     max_iter=50))
+        got = dict(permutation_importance(model, X, y, repeats=4, seed=2))
+        want = dict(loop_permutation_importance(model, X, y, 4, 2))
+        assert got.keys() == want.keys()
+        for j in want:
+            assert got[j] == pytest.approx(want[j], rel=0, abs=1e-12)
 
     def test_unused_feature_zero_importance(self):
         rng = np.random.default_rng(12)
