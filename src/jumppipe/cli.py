@@ -19,7 +19,6 @@ from dataclasses import asdict
 from . import __version__, dataio, evaluation, features, regression
 from . import segmentation as seg
 from . import tcn
-from .nncore import DimensionError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -66,14 +65,6 @@ def _tcn_config(args) -> tcn.MsTcnConfig:
         lr=args.lr,
         seed=args.seed,
     )
-
-
-def _add_tcn_flags(p):
-    p.add_argument("--stages", type=int, default=2)
-    p.add_argument("--layers", type=int, default=7)
-    p.add_argument("--filters", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3)
 
 
 # ------------------------------------------------------------- subcommands
@@ -199,11 +190,12 @@ def _run(args) -> int:
         outputs.append(os.path.join(args.out, name))
         return outputs[-1]
 
-    config, message = args.func(args, out)
+    func, _, inputs, _ = COMMANDS[args.command]
+    config, message = func(args, out)
     _write_json(os.path.join(args.out, "manifest.json"), {
         "command": args.command,
         "config": config,
-        "inputs": [getattr(args, name) for name in args.inputs],
+        "inputs": [getattr(args, name) for name in inputs],
         "outputs": outputs,
         "versions": {
             "jumppipe": __version__,
@@ -218,67 +210,66 @@ def _run(args) -> int:
 
 # ---------------------------------------------------------------- parsing
 
+# Every flag once, as its argparse keywords.
+_KINDS = ["rf", "gbt", "mlp"]
+FLAGS = {
+    "config": dict(type=str, default=None,
+                   help="key=value file; command-line flags override it"),
+    "out": dict(type=str, default="."),
+    "seed": dict(type=int, default=0),
+    "subjects": dict(type=int, default=10),
+    "duration": dict(type=float, default=170.0),
+    "noise": dict(type=float, default=0.05),
+    "stages": dict(type=int, default=2),
+    "layers": dict(type=int, default=7),
+    "filters": dict(type=int, default=16),
+    "epochs": dict(type=int, default=20),
+    "lr": dict(type=float, default=1e-3),
+    "min-duration": dict(type=int, default=seg.DEFAULT_MIN_DURATION),
+    "threshold": dict(type=float, default=seg.DEFAULT_IOU_THRESHOLD),
+    "width": dict(type=int, default=seg.DEFAULT_ROI_WIDTH),
+    "kind": dict(choices=_KINDS, default="rf"),
+    "regressor": dict(choices=_KINDS, default="rf"),
+    "repeats": dict(type=int, default=10),
+}
+_TCN = ("stages", "layers", "filters", "epochs", "lr")
+
+# name: (function, summary, input path flags, other flags). Each input is a
+# required flag that the manifest lists; every command also takes --config
+# and --out.
+COMMANDS = {
+    "synth": (_cmd_synth, "generate synthetic labeled sessions", (),
+              ("seed", "subjects", "duration", "noise")),
+    "train": (_cmd_train, "train the MS-TCN on labeled sessions", ("data",),
+              ("seed", *_TCN)),
+    "predict": (_cmd_predict, "predict segments for one session",
+                ("model", "session"), ("min-duration",)),
+    "eval-seg": (_cmd_eval_seg, "segment metrics pred vs truth",
+                 ("pred", "truth"), ("threshold",)),
+    "extract-features": (_cmd_extract_features,
+                         "feature matrix from annotated sessions", ("data",),
+                         ("width",)),
+    "fit-reg": (_cmd_fit_reg, "fit a height regressor", ("features",),
+                ("seed", "kind")),
+    "eval-reg": (_cmd_eval_reg, "regression metrics on a feature file",
+                 ("model", "features"), ()),
+    "pipeline": (_cmd_pipeline, "full LOSO evaluation", ("data",),
+                 ("seed", *_TCN, "regressor", "width", "threshold",
+                  "min-duration")),
+    "importance": (_cmd_importance, "permutation feature importance",
+                   ("model", "features"), ("seed", "repeats")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="jumppipe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, inputs=(), seeded=False):
-        """Subparser `name`; each of `inputs` is a required path flag that
-        the manifest lists as an input."""
+    for name, (_, summary, inputs, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag in inputs:
             p.add_argument(f"--{flag}", required=True)
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file; command-line flags override it")
-        p.add_argument("--out", type=str, default=".")
-        p.set_defaults(func=func, inputs=inputs)
-        return p
-
-    p = command("synth", _cmd_synth, "generate synthetic labeled sessions",
-                seeded=True)
-    p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--duration", type=float, default=170.0)
-    p.add_argument("--noise", type=float, default=0.05)
-
-    p = command("train", _cmd_train, "train the MS-TCN on labeled sessions",
-                inputs=("data",), seeded=True)
-    _add_tcn_flags(p)
-
-    p = command("predict", _cmd_predict, "predict segments for one session",
-                inputs=("model", "session"))
-    p.add_argument("--min-duration", type=int,
-                   default=seg.DEFAULT_MIN_DURATION)
-
-    p = command("eval-seg", _cmd_eval_seg, "segment metrics pred vs truth",
-                inputs=("pred", "truth"))
-    p.add_argument("--threshold", type=float, default=seg.DEFAULT_IOU_THRESHOLD)
-
-    p = command("extract-features", _cmd_extract_features,
-                "feature matrix from annotated sessions", inputs=("data",))
-    p.add_argument("--width", type=int, default=seg.DEFAULT_ROI_WIDTH)
-
-    p = command("fit-reg", _cmd_fit_reg, "fit a height regressor",
-                inputs=("features",), seeded=True)
-    p.add_argument("--kind", choices=["rf", "gbt", "mlp"], default="rf")
-
-    command("eval-reg", _cmd_eval_reg, "regression metrics on a feature file",
-            inputs=("model", "features"))
-
-    p = command("pipeline", _cmd_pipeline, "full LOSO evaluation",
-                inputs=("data",), seeded=True)
-    _add_tcn_flags(p)
-    p.add_argument("--regressor", choices=["rf", "gbt", "mlp"], default="rf")
-    p.add_argument("--width", type=int, default=seg.DEFAULT_ROI_WIDTH)
-    p.add_argument("--threshold", type=float, default=seg.DEFAULT_IOU_THRESHOLD)
-    p.add_argument("--min-duration", type=int,
-                   default=seg.DEFAULT_MIN_DURATION)
-
-    p = command("importance", _cmd_importance, "permutation feature importance",
-                inputs=("model", "features"), seeded=True)
-    p.add_argument("--repeats", type=int, default=10)
-
+        for flag in ("config", "out", *flags):
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -287,7 +278,7 @@ def _merge_config_file(argv: list[str]) -> list[str]:
     is found as argparse finds it: `--config path`, `--config=path` or an
     abbreviation."""
     pre = _Parser(add_help=False)
-    pre.add_argument("--config")
+    pre.add_argument("--config", **FLAGS["config"])
     path = pre.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
@@ -317,8 +308,8 @@ def cli_dispatch(argv: list[str]) -> int:
     except OSError as e:
         _log(f"I/O error: {e}")
         return EXIT_IO
-    except (ValueError, DimensionError, KeyError, FloatingPointError,
-            TypeError) as e:  # a dataio.ParseError is a ValueError
+    except (ValueError, KeyError, FloatingPointError, TypeError) as e:
+        # a dataio.ParseError and an nncore.DimensionError are ValueErrors
         _log(f"error: {e}")
         return EXIT_VALIDATION
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regression, tcn
-from .features import SAMPLE_RATE_HZ, feature_names
+from .features import CHANNEL_NAMES, SAMPLE_RATE_HZ, feature_names
 from .segmentation import DEFAULT_VOCAB, Segment
 
 GRAVITY = 9.81
-SESSION_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
+SESSION_HEADER = ["t", *CHANNEL_NAMES]
 ANNOTATIONS_HEADER = "start_sample,end_sample,label".split(",")
 HEIGHTS_HEADER = "subject_id,start_sample,end_sample,label,height_m".split(",")
 CHECKPOINT_MAGIC = "JUMPPIPE-CKPT"
@@ -43,8 +43,8 @@ class ImuSession:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 6:
-            raise ValueError("samples must be an N x 6 array")
+        if self.samples.ndim != 2 or self.samples.shape[1] != len(CHANNEL_NAMES):
+            raise ValueError(f"samples must be an N x {len(CHANNEL_NAMES)} array")
         if self.samples.shape[0] < 1:
             raise ValueError("session must contain at least one sample")
         if self.labels is not None:
@@ -327,9 +327,9 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.num_subjects < 1:
             raise ValueError("num_subjects must be >= 1")
-        if not (math.isfinite(self.session_duration_s)
-                and self.session_duration_s > 0):
-            raise ValueError("session_duration_s must be positive and finite")
+        if not 0 < self.session_duration_s <= 86_400:  # also rejects nan
+            raise ValueError("session_duration_s must be positive and finite, "
+                             "at most 86400 s (one day)")
         if not (math.isfinite(self.noise_std_g) and self.noise_std_g >= 0):
             raise ValueError("noise_std_g must be >= 0 and finite")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,21 +264,22 @@ def predict_gbt(model: TrainedRegressor, X):
 
 # ------------------------------------------------------------------ mlp
 
-def _init_dense(rng, cin, cout) -> nncore.ConvKernel:
+# weights (in, out), bias (out,); a checkpoint stores weights as (1, in, out)
+Dense = namedtuple("Dense", ["weights", "bias"])
+
+
+def _init_dense(rng, cin, cout) -> Dense:
     bound = 1.0 / math.sqrt(cin)
-    return nncore.ConvKernel(
-        weights=rng.uniform(-bound, bound, size=(1, cin, cout)),
-        bias=rng.uniform(-bound, bound, size=(cout,)),
-    )
+    return Dense(rng.uniform(-bound, bound, size=(cin, cout)),
+                 rng.uniform(-bound, bound, size=(cout,)))
 
 
 def _mlp_forward(layers, X):
-    """Dense layers over the (n, features) matrix; a layer's (1, in, out)
-    weights are used as one (in, out) matrix."""
+    """Dense layers over the (n, features) matrix."""
     caches = []
     h = X
     for i, layer in enumerate(layers):
-        z = h @ layer.weights[0] + layer.bias
+        z = h @ layer.weights + layer.bias
         caches.append((h, z))
         h = nncore.relu(z) if i < len(layers) - 1 else z
     return h, caches
@@ -292,9 +294,9 @@ def _mlp_backward(layers, caches, grad_out):
         h_in, z = caches[i]
         if i < len(layers) - 1:
             g = nncore.relu_backward(z, g)
-        flat[:0] = [(h_in.T @ g)[None], g.sum(axis=0)]
+        flat[:0] = [h_in.T @ g, g.sum(axis=0)]
         if i:
-            g = g @ layers[i].weights[0].T
+            g = g @ layers[i].weights.T
     return flat
 
 
@@ -309,9 +311,7 @@ def fit_mlp_regressor(X, y, config: MlpRegConfig = MlpRegConfig()) -> TrainedReg
     rng = np.random.default_rng(config.seed)
     dims = [X.shape[1], *config.hidden_layers, 1]
     layers = [_init_dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    params = []
-    for layer in layers:
-        params.extend([layer.weights, layer.bias])
+    params = [p for layer in layers for p in layer]
     opt = AdamState(lr=config.lr)
     n = X.shape[0]
     yy = y.reshape(-1, 1)
@@ -392,7 +392,7 @@ def to_doc(model: TrainedRegressor) -> dict:
         doc["mu"] = nncore.array_to_doc(pl["mu"])
         doc["sigma"] = nncore.array_to_doc(pl["sigma"])
         doc["layers"] = [
-            {"w": nncore.array_to_doc(l.weights),
+            {"w": nncore.array_to_doc(l.weights[None]),
              "b": nncore.array_to_doc(l.bias)}
             for l in pl["layers"]
         ]
@@ -435,7 +435,7 @@ def from_doc(kind: str, doc: dict) -> TrainedRegressor:
                 raise ValueError(f"field 'layers[{k}]' has shapes w {w.shape} "
                                  f"and b {b.shape}, expected (1, {width}, n) "
                                  f"and (n,)")
-            payload["layers"].append(nncore.ConvKernel(w, b))
+            payload["layers"].append(Dense(w[0], b))
             width = w.shape[2]
         if not payload["layers"] or width != 1:
             raise ValueError("field 'layers' must end in one output")

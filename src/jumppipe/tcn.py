@@ -52,33 +52,30 @@ class MsTcnConfig:
     def __post_init__(self):
         if self.num_stages < 1:
             raise ValueError("num_stages must be >= 1")
-
-
-@dataclass
-class StageWeights:
-    conv_in: ConvKernel
-    blocks: list  # [(dilated ConvKernel, pointwise ConvKernel), ...]
-    conv_out: ConvKernel
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not 0 < self.lr < math.inf:  # also rejects nan
+            raise ValueError("lr must be positive and finite")
 
 
 @dataclass
 class ModelWeights:
+    """Each stage is its kernels in parameter order: conv_in, then each
+    block's dilated and pointwise kernel, then conv_out."""
+
     config: MsTcnConfig
-    stages: list[StageWeights]
+    stages: list[list[ConvKernel]]
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
-        """Flat (name, array) list in a fixed order; arrays are live views."""
+        """Flat (name, array) list in parameter order; arrays are live views."""
+        names = ["conv_in", *(f"block{l}.{part}"
+                              for l in range(self.config.stage.num_layers)
+                              for part in ("dilated", "pointwise")), "conv_out"]
         out = []
-        for s, st in enumerate(self.stages):
-            out.append((f"stage{s}.conv_in.w", st.conv_in.weights))
-            out.append((f"stage{s}.conv_in.b", st.conv_in.bias))
-            for l, (dk, pk) in enumerate(st.blocks):
-                out.append((f"stage{s}.block{l}.dilated.w", dk.weights))
-                out.append((f"stage{s}.block{l}.dilated.b", dk.bias))
-                out.append((f"stage{s}.block{l}.pointwise.w", pk.weights))
-                out.append((f"stage{s}.block{l}.pointwise.b", pk.bias))
-            out.append((f"stage{s}.conv_out.w", st.conv_out.weights))
-            out.append((f"stage{s}.conv_out.b", st.conv_out.bias))
+        for s, kernels in enumerate(self.stages):
+            for name, k in zip(names, kernels):
+                out += [(f"stage{s}.{name}.w", k.weights),
+                        (f"stage{s}.{name}.b", k.bias)]
         return out
 
     def params(self) -> list[np.ndarray]:
@@ -140,51 +137,44 @@ def build_mstcn(config: MsTcnConfig) -> ModelWeights:
     stages = []
     for s in range(config.num_stages):
         din = sc.in_channels if s == 0 else sc.num_classes
-        conv_in = _init_kernel(rng, 1, din, sc.num_filters)
-        blocks = []
+        kernels = [_init_kernel(rng, 1, din, sc.num_filters)]
         for l in range(sc.num_layers):
-            dk = _init_kernel(rng, sc.kernel_size, sc.num_filters, sc.num_filters,
-                              dilation=2**l)
-            pk = _init_kernel(rng, 1, sc.num_filters, sc.num_filters)
-            blocks.append((dk, pk))
-        conv_out = _init_kernel(rng, 1, sc.num_filters, sc.num_classes)
-        stages.append(StageWeights(conv_in, blocks, conv_out))
+            kernels += [_init_kernel(rng, sc.kernel_size, sc.num_filters,
+                                     sc.num_filters, dilation=2**l),
+                        _init_kernel(rng, 1, sc.num_filters, sc.num_filters)]
+        kernels.append(_init_kernel(rng, 1, sc.num_filters, sc.num_classes))
+        stages.append(kernels)
     return ModelWeights(config=config, stages=stages)
 
 
-def sstcn_forward(stage: StageWeights, x: np.ndarray):
+def sstcn_forward(stage: list[ConvKernel], x: np.ndarray):
     """Forward one stage; returns (logits, cache for backward)."""
-    h = nncore.conv1d_dilated(x, stage.conv_in)
+    h = nncore.conv1d_dilated(x, stage[0])
     block_caches = []
-    for dk, pk in stage.blocks:
+    for dk, pk in zip(stage[1:-1:2], stage[2:-1:2]):  # dilated, pointwise
         a = nncore.conv1d_dilated(h, dk)
         r = nncore.relu(a)
         p = nncore.conv1d_dilated(r, pk)
-        block_caches.append((h, a, r))
+        block_caches.append((dk, pk, h, a, r))
         h = h + p
-    logits = nncore.conv1d_dilated(h, stage.conv_out)
+    logits = nncore.conv1d_dilated(h, stage[-1])
     cache = (x, block_caches, h)
     return logits, cache
 
 
-def sstcn_backward(stage: StageWeights, cache, grad_logits: np.ndarray):
-    """Backward one stage; returns (param grads in named_params order, gx)."""
+def sstcn_backward(stage: list[ConvKernel], cache, grad_logits: np.ndarray):
+    """Backward one stage; returns (param grads in named_params order, gx).
+    Each layer's gradients are prepended as the walk goes backward."""
     x, block_caches, h_final = cache
-    gh, gw_out, gb_out = nncore.conv1d_backward(h_final, stage.conv_out, grad_logits)
-    block_grads = []
-    for (dk, pk), (h_in, a, r) in zip(reversed(stage.blocks),
-                                      reversed(block_caches)):
+    gh, *grads = nncore.conv1d_backward(h_final, stage[-1], grad_logits)
+    for dk, pk, h_in, a, r in reversed(block_caches):
         gr, gw_p, gb_p = nncore.conv1d_backward(r, pk, gh)
         ga = nncore.relu_backward(a, gr)
         gh_conv, gw_d, gb_d = nncore.conv1d_backward(h_in, dk, ga)
         gh = gh + gh_conv  # residual path
-        block_grads.append((gw_d, gb_d, gw_p, gb_p))
-    gx, gw_in, gb_in = nncore.conv1d_backward(x, stage.conv_in, gh)
-    grads = [gw_in, gb_in]
-    for gw_d, gb_d, gw_p, gb_p in reversed(block_grads):
-        grads.extend([gw_d, gb_d, gw_p, gb_p])
-    grads.extend([gw_out, gb_out])
-    return grads, gx
+        grads[:0] = [gw_d, gb_d, gw_p, gb_p]
+    gx, gw_in, gb_in = nncore.conv1d_backward(x, stage[0], gh)
+    return [gw_in, gb_in, *grads], gx
 
 
 def mstcn_forward(weights: ModelWeights, x: np.ndarray):
@@ -216,7 +206,7 @@ def _loss_and_grads(weights: ModelWeights, x: np.ndarray, labels: np.ndarray):
         total += nncore.cross_entropy_loss(probs, labels)
         total += cfg.loss.lambda_tmse * nncore.tmse_loss(probs, cfg.loss)
 
-    all_grads: list[list[np.ndarray]] = [None] * cfg.num_stages
+    grads = []  # each stage's gradients are prepended, last stage first
     g_input_next = None  # grad w.r.t. the probs feeding the next stage
     for s in range(cfg.num_stages - 1, -1, -1):
         probs = probs_list[s]
@@ -225,11 +215,10 @@ def _loss_and_grads(weights: ModelWeights, x: np.ndarray, labels: np.ndarray):
         if g_input_next is not None:
             gprobs = gprobs + g_input_next
         glogits = nncore.softmax_backward(probs, gprobs)
-        stage_grads, gx = sstcn_backward(weights.stages[s], caches[s], glogits)
-        all_grads[s] = stage_grads
-        g_input_next = gx
-    flat = [g for stage_grads in all_grads for g in stage_grads]
-    return total, flat, probs_list
+        stage_grads, g_input_next = sstcn_backward(weights.stages[s],
+                                                   caches[s], glogits)
+        grads[:0] = stage_grads
+    return total, grads, probs_list
 
 
 def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -6,7 +7,8 @@ import pytest
 
 from jumppipe import dataio, features, regression, tcn
 from jumppipe import segmentation as seg
-from jumppipe.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_dispatch
+from jumppipe.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser,
+                          cli_dispatch)
 from jumppipe.segmentation import Segment
 
 TINY_TCN = ["--stages", "1", "--layers", "3", "--filters", "4", "--epochs", "2"]
@@ -118,6 +120,24 @@ class TestErrors:
         assert "num_filters must be >= 1" in self._one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "-3", "epochs must be >= 0"),
+        ("--lr", "-1", "lr must be positive and finite"),
+        ("--lr", "0", "lr must be positive and finite"),
+        ("--lr", "nan", "lr must be positive and finite"),
+        ("--lr", "inf", "lr must be positive and finite"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_bad_epochs_or_lr_rejected(self, small_dataset, tmp_path, capsys,
+                                       monkeypatch, command, flag, value,
+                                       message):
+        monkeypatch.setattr(tcn, "train", _refuse_training)
+        argv = [command, "--data", str(small_dataset), *TINY_TCN,
+                flag, value, "--out", str(tmp_path / "out")]
+        assert cli_dispatch(argv) == EXIT_VALIDATION
+        assert message in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threshold", ["2", "-1", "nan"])
     @pytest.mark.parametrize("command", ["eval-seg", "pipeline"])
     def test_iou_threshold_outside_unit_interval_rejected(
@@ -151,6 +171,8 @@ class TestErrors:
         ("--noise", "nan", "noise_std_g must be >= 0 and finite"),
         ("--duration", "inf", "session_duration_s must be positive and finite"),
         ("--duration", "nan", "session_duration_s must be positive and finite"),
+        ("--duration", "1e308", "session_duration_s must be positive and finite"),
+        ("--duration", "1e9", "session_duration_s must be positive and finite"),
     ])
     def test_synth_bad_value_rejected(self, tmp_path, capsys, flag, value,
                                       message):
@@ -392,3 +414,70 @@ def test_manifest_written_by_every_command(chain, tmp_path, command):
         [os.path.basename(p) for p in manifest["outputs"]] + ["manifest.json"])
     assert manifest["versions"]["feature_catalog"] == 1
     assert np.isfinite(manifest["wall_clock_s"])
+
+
+# Every flag of every subcommand: option -> (dest, default, type, choices,
+# required). A parser change that adds, drops or alters a flag shows here.
+_PATH = (None, None, None, True)
+_COMMON = {"--config": ("config", None, "str", None, False),
+           "--out": ("out", ".", "str", None, False)}
+_SEED = {"--seed": ("seed", 0, "int", None, False)}
+_TCN = {"--stages": ("stages", 2, "int", None, False),
+        "--layers": ("layers", 7, "int", None, False),
+        "--filters": ("filters", 16, "int", None, False),
+        "--epochs": ("epochs", 20, "int", None, False),
+        "--lr": ("lr", 0.001, "float", None, False)}
+_KINDS = ("rf", "gbt", "mlp")
+PARSER_SURFACE = {
+    "synth": {**_SEED, **_COMMON,
+              "--subjects": ("subjects", 10, "int", None, False),
+              "--duration": ("duration", 170.0, "float", None, False),
+              "--noise": ("noise", 0.05, "float", None, False)},
+    "train": {"--data": ("data", *_PATH), **_SEED, **_COMMON, **_TCN},
+    "predict": {"--model": ("model", *_PATH), "--session": ("session", *_PATH),
+                **_COMMON,
+                "--min-duration": ("min_duration", 10, "int", None, False)},
+    "eval-seg": {"--pred": ("pred", *_PATH), "--truth": ("truth", *_PATH),
+                 **_COMMON,
+                 "--threshold": ("threshold", 0.1, "float", None, False)},
+    "extract-features": {"--data": ("data", *_PATH), **_COMMON,
+                         "--width": ("width", 300, "int", None, False)},
+    "fit-reg": {"--features": ("features", *_PATH), **_SEED, **_COMMON,
+                "--kind": ("kind", "rf", None, _KINDS, False)},
+    "eval-reg": {"--model": ("model", *_PATH),
+                 "--features": ("features", *_PATH), **_COMMON},
+    "pipeline": {"--data": ("data", *_PATH), **_SEED, **_COMMON, **_TCN,
+                 "--regressor": ("regressor", "rf", None, _KINDS, False),
+                 "--width": ("width", 300, "int", None, False),
+                 "--threshold": ("threshold", 0.1, "float", None, False),
+                 "--min-duration": ("min_duration", 10, "int", None, False)},
+    "importance": {"--model": ("model", *_PATH),
+                   "--features": ("features", *_PATH), **_SEED, **_COMMON,
+                   "--repeats": ("repeats", 10, "int", None, False)},
+}
+
+
+def _flag_surface(subparser) -> dict:
+    surface = {}
+    for action in subparser._actions:
+        if action.dest == "help":
+            continue
+        assert len(action.option_strings) == 1, action.option_strings
+        surface[action.option_strings[0]] = (
+            action.dest, action.default,
+            action.type.__name__ if action.type else None,
+            tuple(action.choices) if action.choices else None,
+            action.required)
+    return surface
+
+
+def test_parser_surface_is_pinned():
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(PARSER_SURFACE)
+    for name, subparser in sub.choices.items():
+        surface = _flag_surface(subparser)
+        assert surface == PARSER_SURFACE[name], name
+        # equal values of another type (10 vs 10.0) compare equal above
+        assert ({k: type(v[1]) for k, v in surface.items()}
+                == {k: type(v[1]) for k, v in PARSER_SURFACE[name].items()}), name

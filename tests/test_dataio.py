@@ -485,6 +485,7 @@ class TestSyntheticGenerator:
         ("num_subjects", 0), ("num_subjects", -1),
         ("noise_std_g", math.nan), ("noise_std_g", math.inf),
         ("session_duration_s", math.inf), ("session_duration_s", math.nan),
+        ("session_duration_s", 1e308), ("session_duration_s", 1e9),
     ])
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

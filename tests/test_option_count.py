@@ -12,7 +12,7 @@ from pathlib import Path
 
 import jumppipe
 
-EXPECTED_OPTIONS = 71
+EXPECTED_OPTIONS = 69
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
