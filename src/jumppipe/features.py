@@ -41,20 +41,21 @@ SCALING_DEGREE = {
 
 
 def power_spectrum(signal):
-    """One-sided power spectrum of the mean-removed signal.
+    """One-sided power spectrum of the mean-removed signal, along its last
+    axis, so a (C, W) matrix gives one spectrum per row.
 
     Normalized so that sum(power) equals the time-domain energy
     sum((x - mean)^2) exactly (Parseval).
     """
     x = np.asarray(signal, dtype=np.float64)
-    n = x.size
+    n = x.shape[-1]
     if n < 2:
         raise ValueError("power_spectrum needs at least 2 samples")
-    x = x - x.mean()
-    spec = np.fft.rfft(x)
+    x = x - x.mean(axis=-1, keepdims=True)
+    spec = np.fft.rfft(x, axis=-1)
     power = np.abs(spec) ** 2 / n
     # interior bins fold in the negative frequencies
-    scale = np.full(power.size, 2.0)
+    scale = np.full(power.shape[-1], 2.0)
     scale[0] = 1.0
     if n % 2 == 0:
         scale[-1] = 1.0
@@ -83,64 +84,72 @@ def spectral_entropy(signal) -> float:
     return _entropy_of_power(power)
 
 
-def _time_features(x: np.ndarray) -> list[float]:
-    n = x.size
-    mean = x.mean()
-    centered = x - mean
-    var_pop = float((centered**2).mean())
-    std_samp = float(x.std(ddof=1))
-    if var_pop > 0:
-        skew = float((centered**3).mean() / var_pop**1.5)
-        kurt = float((centered**4).mean() / var_pop**2 - 3.0)
-        autocorr = float((centered[:-1] * centered[1:]).sum() / (centered**2).sum())
-        zcr = float(np.count_nonzero(centered[:-1] * centered[1:] < 0) / (n - 1))
-    else:
-        skew = kurt = autocorr = zcr = 0.0
-    slope = float(np.polyfit(np.arange(n), x, 1)[0])
-    return [
-        float(x.max()),
-        float(x.min()),
-        float(mean),
-        float(np.median(x)),
-        std_samp,
-        float(x.var(ddof=1)),
-        float(np.sqrt((x**2).mean())),
-        float(x.max() - x.min()),
-        float(np.percentile(x, 75) - np.percentile(x, 25)),
-        skew,
-        kurt,
-        float(np.abs(np.diff(x)).mean()),
-        zcr,
-        float((x**2).sum()),
-        autocorr,
-        slope,
-    ]
+def _time_features(X: np.ndarray) -> np.ndarray:
+    """(C, 16): the time-domain features of each row of X."""
+    C, n = X.shape
+    mean = X.mean(axis=1)
+    centered = X - mean[:, None]
+    sq = centered**2
+    var_pop = sq.mean(axis=1)
+    lag1 = centered[:, :-1] * centered[:, 1:]
+    live = var_pop > 0
+    skew, kurt, autocorr, zcr = np.zeros((4, C))
+    if live.any():
+        # Python float powers: numpy's power differs in the last bit
+        v = [float(s) for s in var_pop[live]]
+        skew[live] = (centered[live] ** 3).mean(axis=1) / [s**1.5 for s in v]
+        kurt[live] = (centered[live] ** 4).mean(axis=1) / [s**2 for s in v] - 3.0
+        autocorr[live] = lag1[live].sum(axis=1) / sq[live].sum(axis=1)
+        zcr[live] = np.count_nonzero(lag1[live] < 0, axis=1) / (n - 1)
+    # one fit per row: a multi-column lstsq differs in the last bit
+    slope = [np.polyfit(np.arange(n), row, 1)[0] for row in X]
+    hi, lo = X.max(axis=1), X.min(axis=1)
+    q75, q25 = np.percentile(X, [75, 25], axis=1)
+    return np.stack([
+        hi, lo, mean, np.median(X, axis=1),
+        X.std(axis=1, ddof=1), X.var(axis=1, ddof=1),
+        np.sqrt((X**2).mean(axis=1)), hi - lo, q75 - q25, skew, kurt,
+        np.abs(np.diff(X, axis=1)).mean(axis=1), zcr, (X**2).sum(axis=1),
+        autocorr, slope,
+    ], axis=1)
 
 
-def _freq_features(x: np.ndarray) -> list[float]:
-    freqs, power = power_spectrum(x)
-    total = power.sum()
-    if total <= 0:
-        return [0.0] * len(FREQ_FEATURES)
-    p = power / total
-    entropy = _entropy_of_power(power)
-    centroid = float((freqs * p).sum())
-    spread = float(np.sqrt((p * (freqs - centroid) ** 2).sum()))
-    peak = int(np.argmax(power))
-    cum = np.cumsum(p)
-    rolloff = float(freqs[int(np.searchsorted(cum, 0.85))])
-    low = float(power[(freqs >= 0) & (freqs < 5.0)].sum())
-    mid = float(power[(freqs >= 5.0) & (freqs < 20.0)].sum())
-    return [entropy, centroid, spread, float(freqs[peak]), float(power[peak]),
-            rolloff, low, mid]
+def _freq_features(X: np.ndarray) -> np.ndarray:
+    """(C, 8): the frequency-domain features of each row of X; a row with
+    zero spectral power gets zeros."""
+    freqs, power = power_spectrum(X)
+    out = np.zeros((X.shape[0], len(FREQ_FEATURES)))
+    total = power.sum(axis=1)
+    live = total > 0
+    if not live.any():
+        return out
+    power, total = power[live], total[live]
+    p = power / total[:, None]
+    centroid = (freqs * p).sum(axis=1)
+    spread = np.sqrt((p * (freqs - centroid[:, None]) ** 2).sum(axis=1))
+    peak = np.argmax(power, axis=1)
+    rolloff = np.count_nonzero(np.cumsum(p, axis=1) < 0.85, axis=1)
+    # the bands are contiguous bin ranges; slices keep the summation order
+    b5, b20 = np.searchsorted(freqs, [5.0, 20.0])
+    out[live] = np.stack([
+        [_entropy_of_power(row) for row in power], centroid, spread,
+        freqs[peak], power[np.arange(peak.size), peak], freqs[rolloff],
+        power[:, :b5].sum(axis=1), power[:, b5:b20].sum(axis=1),
+    ], axis=1)
+    return out
+
+
+def _channel_features(X: np.ndarray) -> np.ndarray:
+    """(C, 24): the catalog features of each row of a (C, W) matrix."""
+    if X.shape[1] < 4:
+        raise ValueError("need at least 4 samples (kurtosis)")
+    return np.concatenate([_time_features(X), _freq_features(X)], axis=1)
 
 
 def extract_channel_features(signal) -> np.ndarray:
     """The 24 catalog features of one channel, in catalog order."""
     x = np.asarray(signal, dtype=np.float64)
-    if x.size < 4:
-        raise ValueError("need at least 4 samples (kurtosis)")
-    return np.array(_time_features(x) + _freq_features(x))
+    return _channel_features(x.reshape(1, -1))[0]
 
 
 def feature_names() -> list[str]:
@@ -163,10 +172,8 @@ def extract_feature_vector(
     if window.ndim != 2 or window.shape[1] != len(CHANNEL_NAMES):
         raise ValueError(f"window must be W x {len(CHANNEL_NAMES)}")
     ordinal = vocab.jump_ordinal(class_id)  # raises for non-eligible classes
-    parts = [extract_channel_features(window[:, c])
-             for c in range(window.shape[1])]
-    parts.append(np.array([float(ordinal)]))
-    vec = np.concatenate(parts)
+    rows = _channel_features(np.ascontiguousarray(window.T))
+    vec = np.append(rows.ravel(), float(ordinal))
     if not np.all(np.isfinite(vec)):
         raise FloatingPointError("non-finite feature value")
     return vec

@@ -101,19 +101,33 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def conv1d_dilated(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
-    """Acausal 'same'-padded dilated convolution; output length equals input."""
+    """Acausal 'same'-padded dilated convolution; output length equals input.
+
+    No padded copy is made: each tap's product adds into the rows of `out`
+    that its offset reaches, which is all that the zero rows changed.
+    """
     x = as_tensor2(x)
     if x.shape[1] != kernel.in_channels:
         raise DimensionError(
             f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}"
         )
     k, d = kernel.kernel_size, kernel.dilation
-    pad = (k - 1) // 2 * d
-    xp = _padded(x, pad)
+    if k == 1:
+        out = x @ kernel.weights[0]
+        out += kernel.bias
+        return out
     T = x.shape[0]
-    out = np.tile(kernel.bias, (T, 1))
+    out = np.empty((T, kernel.out_channels))
+    out[:] = kernel.bias
     for i in range(k):
-        out += xp[i * d : i * d + T] @ kernel.weights[i]
+        offset = (i - (k - 1) // 2) * d
+        if abs(offset) >= T:
+            continue
+        # all T rows: a one-row product goes through gemv, which sums in
+        # another order than the padded form's gemm
+        tap = x @ kernel.weights[i]
+        lo, hi = max(0, -offset), T - max(0, offset)
+        out[lo:hi] += tap[lo + offset : hi + offset]
     return out
 
 
@@ -143,8 +157,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is taken as 0
-    return np.where(x > 0.0, grad_out, 0.0)
+    # subgradient at exactly 0 is taken as 0. A multiply by the mask is
+    # about 3x faster than np.where; += 0.0 makes its zeros +0.0 as np.where's
+    # masked entries are (a -0.0 gradient where x > 0 comes out +0.0 too)
+    g = grad_out * (x > 0.0)
+    g += 0.0
+    return g
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

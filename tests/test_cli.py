@@ -236,6 +236,52 @@ class TestTrainPredict:
         dataio.read_annotations(pred_dir / "pred_segments.csv")
 
 
+class TestShortSessions:
+    """Sessions shorter than the ROI width and than the TCN's reach: predict
+    and extract-features run, and a jump's ROI is its zero-padded window."""
+
+    @pytest.mark.parametrize("T", [1, 2, 150])
+    def test_predict(self, tmp_path, T):
+        weights = tcn.build_mstcn(tcn.MsTcnConfig(
+            num_stages=2, stage=tcn.SsTcnConfig(num_layers=7, num_filters=4)))
+        dataio.save_checkpoint(weights, tmp_path / "m.ckpt")
+        session = dataio.ImuSession(
+            "s", np.random.default_rng(T).normal(size=(T, 6)))
+        dataio.write_session_csv(session, tmp_path / "s.csv")
+        rc = cli_dispatch(["predict", "--model", str(tmp_path / "m.ckpt"),
+                           "--session", str(tmp_path / "s.csv"),
+                           "--out", str(tmp_path / "pred")])
+        assert rc == EXIT_OK
+        for s in dataio.read_annotations(tmp_path / "pred" / "pred_segments.csv"):
+            assert 0 <= s.start < s.end <= T
+
+    @pytest.mark.parametrize("T,start,end", [(1, 0, 1), (2, 0, 2),
+                                             (150, 60, 90)])
+    def test_extract_features(self, tmp_path, T, start, end):
+        data = tmp_path / "data"
+        data.mkdir()
+        labels = np.zeros(T, dtype=np.int64)
+        labels[start:end] = seg.DEFAULT_VOCAB.index("CMJ")
+        session = dataio.ImuSession(
+            "S00", np.random.default_rng(T).normal(size=(T, 6)), labels)
+        dataio.write_session_csv(session, data / "S00.csv")
+        jump = Segment(start, end, seg.DEFAULT_VOCAB.index("CMJ"))
+        dataio.write_heights([dataio.HeightRecord("S00", jump, 0.3)],
+                             data / "heights.csv")
+        rc = cli_dispatch(["extract-features", "--data", str(data),
+                           "--out", str(tmp_path / "feat")])
+        assert rc == EXIT_OK
+        samples = dataio.read_session_csv(data / "S00.csv").samples
+        roi = seg.select_roi(jump, T)
+        assert roi.left_pad and roi.right_pad
+        window = seg.roi_window(roi, samples)
+        assert window.shape == (seg.DEFAULT_ROI_WIDTH, 6)
+        expected = features.extract_feature_vector(window, jump.class_id)
+        dataio.write_feature_csv(expected[None], [0.3], tmp_path / "ref.csv")
+        assert (tmp_path / "feat" / "features.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
 class TestRegressionChain:
     def test_extract_fit_eval(self, small_dataset, tmp_path):
         feat_dir = tmp_path / "feat"

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,113 @@ class TestSessionCsv:
         write_session_csv(sess, path)
         back = read_session_csv(path)
         np.testing.assert_array_equal(back.labels, sess.labels)
+
+
+# cells that float() and numpy's reader might take differently, or not at
+# all; "\x0c" and "\x0b" are line breaks to splitlines() alone
+SESSION_CELL_FAULTS = ["", "nan", "inf", "-inf", "NaN", "Infinity", "1_0",
+                       " 0.5 ", "1e", "0x10", "\uff11", "#0", "1\x0c",
+                       "\x0b1"]
+
+
+@st.composite
+def session_texts(draw):
+    """The text of a session CSV, with or without labels, that may carry
+    blank or `#` lines, odd cells, a cell too many or too few, a bad label
+    or timestamp, CRLF line ends and no final newline."""
+    labelled = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    values = draw(arrays(np.float64, (n, 6), elements=st.floats(
+        -1e4, 1e4, allow_nan=False, allow_infinity=False)))
+    rows = [["%.9g" % (i * 0.01), *map(repr, row.tolist())] for i, row in
+            enumerate(values)]
+    if labelled:
+        for row in rows:
+            row.append(draw(st.sampled_from(seg.DEFAULT_VOCAB.names)))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["blank", "comment", "cell", "extra",
+                                     "missing", "label", "timestamp"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        if rows[r] is None:
+            continue
+        c = draw(st.integers(0, len(rows[r]) - 1))
+        if kind == "blank":
+            rows.insert(r, None)
+        elif kind == "comment":
+            rows.insert(r, ["# " + ",".join(rows[r])])
+        elif kind == "cell":
+            rows[r][c] = draw(st.sampled_from(SESSION_CELL_FAULTS))
+        elif kind == "extra":
+            rows[r].append("0")
+        elif kind == "missing":
+            del rows[r][c]
+        elif kind == "label":
+            rows[r][-1] = draw(st.sampled_from(["cmj", " CMJ", "CMJx", "Smashing"]))
+        else:
+            rows[r][0] = "%.9g" % ((r + 1) * 0.01)
+    header = dataio.SESSION_HEADER + ["label"] * labelled
+    lines = [",".join(header)] + ["" if r is None else ",".join(r) for r in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end * draw(st.booleans())
+
+
+class TestSessionCsvFastPath:
+    """numpy's reader and the line reader must agree on every file: the same
+    arrays and labels, or the same ParseError."""
+
+    @given(session_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_line_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_bytes(text.encode())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    table, labels = dataio._read_session_lines(path)
+                except ParseError as e:
+                    with pytest.raises(ParseError) as got:
+                        read_session_csv(path)
+                    assert str(got.value) == str(e)
+                    return
+                sess = read_session_csv(path)
+        assert sess.samples.tobytes() == \
+            np.ascontiguousarray(table[:, 1:]).tobytes()
+        if labels is None:
+            assert sess.labels is None
+        else:
+            assert sess.labels.tobytes() == np.asarray(labels, np.int64).tobytes()
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n", " \n", "\r\n"])
+    def test_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_bytes((",".join(dataio.SESSION_HEADER) + "\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as want:
+                dataio._read_session_lines(path)
+            with pytest.raises(ParseError) as got:
+                read_session_csv(path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("end,final", [("\n", True), ("\r\n", True),
+                                           ("\n", False)])
+    def test_written_sessions_take_it(self, tmp_path, labelled, end, final):
+        rng = np.random.default_rng(1)
+        sess = ImuSession("s", rng.normal(size=(50, 6)),
+                          rng.integers(0, 8, size=50) if labelled else None)
+        path = tmp_path / "s.csv"
+        write_session_csv(sess, path)
+        text = path.read_text().replace("\n", end)
+        path.write_bytes((text if final else text.rstrip(end)).encode())
+        assert dataio._read_session_fast(path) is not None
+        back = read_session_csv(path)
+        table, labels = dataio._read_session_lines(path)
+        assert back.samples.tobytes() == \
+            np.ascontiguousarray(table[:, 1:]).tobytes()
+        if labelled:
+            np.testing.assert_array_equal(back.labels, labels)
 
 
 class TestAnnotationsAndHeights:

@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 
 from jumppipe import features as feat
+from jumppipe import segmentation as seg
 from jumppipe.features import (FEATURE_NAMES, SCALING_DEGREE,
                                extract_channel_features,
                                extract_feature_vector, feature_names,
@@ -184,3 +185,116 @@ class TestFeatureVector:
         window = rng.normal(size=(300, 6)) * rng.uniform(0.01, 100)
         vec = extract_feature_vector(window, 1)
         assert np.all(np.isfinite(vec))
+
+
+# ---------------------------------------------------------------- oracle
+# The catalog as it was computed one channel at a time, kept as the oracle
+# that the row-wise code in `features` must match byte for byte.
+
+def _oracle_power_spectrum(x):
+    n = x.size
+    x = x - x.mean()
+    power = np.abs(np.fft.rfft(x)) ** 2 / n
+    scale = np.full(power.size, 2.0)
+    scale[0] = 1.0
+    if n % 2 == 0:
+        scale[-1] = 1.0
+    return np.fft.rfftfreq(n, d=1.0 / feat.SAMPLE_RATE_HZ), power * scale
+
+
+def _oracle_entropy(power):
+    body = power[1:]
+    total = body.sum()
+    if total <= 0 or body.size < 2:
+        return 0.0
+    p = body / total
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum() / np.log(p.size))
+
+
+def _oracle_time_features(x):
+    n = x.size
+    mean = x.mean()
+    centered = x - mean
+    var_pop = float((centered**2).mean())
+    std_samp = float(x.std(ddof=1))
+    if var_pop > 0:
+        skew = float((centered**3).mean() / var_pop**1.5)
+        kurt = float((centered**4).mean() / var_pop**2 - 3.0)
+        autocorr = float((centered[:-1] * centered[1:]).sum() / (centered**2).sum())
+        zcr = float(np.count_nonzero(centered[:-1] * centered[1:] < 0) / (n - 1))
+    else:
+        skew = kurt = autocorr = zcr = 0.0
+    slope = float(np.polyfit(np.arange(n), x, 1)[0])
+    return [float(x.max()), float(x.min()), float(mean), float(np.median(x)),
+            std_samp, float(x.var(ddof=1)), float(np.sqrt((x**2).mean())),
+            float(x.max() - x.min()),
+            float(np.percentile(x, 75) - np.percentile(x, 25)), skew, kurt,
+            float(np.abs(np.diff(x)).mean()), zcr, float((x**2).sum()),
+            autocorr, slope]
+
+
+def _oracle_freq_features(x):
+    freqs, power = _oracle_power_spectrum(x)
+    total = power.sum()
+    if total <= 0:
+        return [0.0] * len(feat.FREQ_FEATURES)
+    p = power / total
+    centroid = float((freqs * p).sum())
+    spread = float(np.sqrt((p * (freqs - centroid) ** 2).sum()))
+    peak = int(np.argmax(power))
+    rolloff = float(freqs[int(np.searchsorted(np.cumsum(p), 0.85))])
+    low = float(power[(freqs >= 0) & (freqs < 5.0)].sum())
+    mid = float(power[(freqs >= 5.0) & (freqs < 20.0)].sum())
+    return [_oracle_entropy(power), centroid, spread, float(freqs[peak]),
+            float(power[peak]), rolloff, low, mid]
+
+
+def _oracle_vector(window, class_id):
+    parts = [_oracle_time_features(window[:, c]) + _oracle_freq_features(window[:, c])
+             for c in range(window.shape[1])]
+    ordinal = DEFAULT_VOCAB.jump_ordinal(class_id)
+    return np.array([v for part in parts for v in part] + [float(ordinal)])
+
+
+def _oracle_windows():
+    """(name, W x 6 window): random, constant, all-zero, zero-padded edge
+    ROIs and exact-zero spectral bins, at every width of the contract."""
+    for width in (4, 5, 64, 300, 301):
+        rng = np.random.default_rng(width)
+        for k in range(4):
+            yield f"random{k}", rng.normal(size=(width, 6)) * rng.uniform(
+                0.01, 100, size=6)
+        constant = rng.normal(size=(width, 6))
+        constant[:, [1, 4]] = [1.0, -3.25]
+        yield "constant_channels", constant
+        yield "all_zero", np.zeros((width, 6))
+        session = rng.normal(size=(width // 2 + 1, 6))
+        n = session.shape[0]
+        for segment in (seg.Segment(0, 1, 1), seg.Segment(n - 1, n, 1)):
+            roi = seg.select_roi(segment, n, width)
+            assert roi.left_pad or roi.right_pad
+            yield "edge_roi", seg.roi_window(roi, session)
+    for width in (64, 300):
+        zero_bins = np.empty((width, 6))
+        zero_bins[:, :2] = np.tile([1.0, -1.0], width // 2)[:, None]
+        zero_bins[:, 2:] = np.tile([3.0, 1.0, -2.0, 0.5], width // 4)[:, None]
+        yield "zero_bins", zero_bins
+
+
+class TestByteEqualToScalarOracle:
+    @pytest.mark.parametrize("name,window", list(_oracle_windows()))
+    def test_vector(self, name, window):
+        got = extract_feature_vector(window, DEFAULT_VOCAB.index("Smash"))
+        assert got.tobytes() == _oracle_vector(window, 2).tobytes(), name
+        for c in range(6):
+            x = window[:, c]
+            one = _oracle_time_features(x) + _oracle_freq_features(x)
+            assert extract_channel_features(x).tobytes() == \
+                np.array(one).tobytes(), (name, c)
+
+    def test_zero_bins_case_has_exact_zero_bins(self):
+        window = dict(_oracle_windows())["zero_bins"]
+        for c in range(6):
+            _, power = _oracle_power_spectrum(window[:, c])
+            assert (power[1:] == 0.0).any()

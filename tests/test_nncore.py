@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumppipe import nncore
+from jumppipe import nncore, tcn
+from jumppipe.dataio import ImuSession
 from jumppipe.nncore import (AdamState, ConvKernel, DimensionError, LossConfig,
                              adam_step, conv1d_backward, conv1d_dilated,
                              cross_entropy_grad, cross_entropy_loss, relu,
@@ -77,6 +78,59 @@ class TestConv1d:
             ConvKernel(weights=np.ones((2, 1, 1)), bias=np.zeros(1))
 
 
+def padded_conv(x, kernel):
+    """The zero-padded form of the convolution: one padded copy of x, and
+    each tap a product of T of its rows."""
+    k, d, T = kernel.kernel_size, kernel.dilation, x.shape[0]
+    pad = (k - 1) // 2 * d
+    xp = np.pad(x, ((pad, pad), (0, 0)))
+    out = np.tile(kernel.bias, (T, 1))
+    for i in range(k):
+        out += xp[i * d : i * d + T] @ kernel.weights[i]
+    return out
+
+
+class TestPadFreeForward:
+    """conv1d_dilated adds each tap into offset rows instead of padding x; it
+    must equal the padded form byte for byte, also where a tap reaches one
+    row or none."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_short_inputs_every_dilation(self, k):
+        rng = np.random.default_rng(k)
+        for d in range(1, 65):
+            kernel = ConvKernel(rng.normal(size=(k, 6, 16)),
+                                rng.normal(size=16), d)
+            for T in sorted({1, 2, 3, d - 1, d, d + 1, 2 * d + 1} - {0}):
+                x = rng.normal(size=(T, 6))
+                assert conv1d_dilated(x, kernel).tobytes() == \
+                    padded_conv(x, kernel).tobytes(), (k, d, T)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "reversed"])
+    def test_long_input_any_layout(self, layout):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(1000, 16))
+        x = {"C": x, "F": np.asfortranarray(x), "reversed": x[::-1]}[layout]
+        for d in (1, 8, 64):
+            kernel = ConvKernel(rng.normal(size=(3, 16, 16)),
+                                rng.normal(size=16), d)
+            assert conv1d_dilated(x, kernel).tobytes() == \
+                padded_conv(x, kernel).tobytes()
+
+    @pytest.mark.parametrize("T", [1, 2, 150])
+    def test_predict_short_sessions(self, T, monkeypatch):
+        # 7 layers reach dilation 64, so taps reach one row or none
+        weights = tcn.build_mstcn(tcn.MsTcnConfig(
+            num_stages=2, stage=tcn.SsTcnConfig(num_layers=7, num_filters=8)))
+        session = ImuSession("s", np.random.default_rng(T).normal(size=(T, 6)))
+        probs, labels = tcn.predict(weights, session)
+        monkeypatch.setattr(nncore, "conv1d_dilated", padded_conv)
+        ref_probs, ref_labels = tcn.predict(weights, session)
+        assert probs.shape == (T, weights.config.stage.num_classes)
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert labels.tobytes() == ref_labels.tobytes()
+
+
 class TestRelu:
     def test_basic(self):
         np.testing.assert_allclose(relu(np.array([[-1., 0., 2.]])), [[0., 0., 2.]])
@@ -89,6 +143,13 @@ class TestRelu:
         x = np.array([[-1., 2., 0.]])
         g = np.array([[5., 5., 5.]])
         np.testing.assert_allclose(relu_backward(x, g), [[0., 5., 0.]])
+
+    def test_masked_entries_are_positive_zero(self):
+        # as np.where gives them, also under a negative gradient
+        x = np.array([[-1., 2., 0., -3.]])
+        g = np.array([[-5., -5., -5., 7.]])
+        out = relu_backward(x, g)
+        assert out.tobytes() == np.array([[0., -5., 0., 0.]]).tobytes()
 
 
 class TestSoftmax:
