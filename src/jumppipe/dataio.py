@@ -120,6 +120,14 @@ def write_csv(path, header, rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _plain(cell: str) -> str:
+    """`cell` if it is ASCII without an underscore, else a ValueError:
+    float() and int() also read `1_0` as 10 and a fullwidth '１' as 1."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"not a plain ASCII number: {cell!r}")
+    return cell
+
+
 def _float_table(path, rows, ncols: int) -> np.ndarray:
     """The first `ncols` cells of each row as finite float64s; no rows, or
     the first row with a non-numeric or non-finite cell, raise a ParseError."""
@@ -128,13 +136,14 @@ def _float_table(path, rows, ncols: int) -> np.ndarray:
     cells = np.array([c for _, c in rows], dtype=object)[:, :ncols]
     try:
         table = cells.astype(np.float64)  # float() on each cell
-        if np.isfinite(table).all():
+        text = "".join(cells.ravel().tolist())
+        if np.isfinite(table).all() and text.isascii() and "_" not in text:
             return table
     except ValueError:
         pass
     for ln, row in rows:
         try:
-            values = [float(c) for c in row[:ncols]]
+            values = [float(_plain(c)) for c in row[:ncols]]
         except ValueError as e:
             raise ParseError(path, ln, f"non-numeric cell: {e}") from None
         if not np.isfinite(values).all():
@@ -233,7 +242,7 @@ def _read_session_lines(path):
 
 def _segment(path, ln, start, end, label) -> Segment:
     try:
-        start, end = int(start), int(end)
+        start, end = int(_plain(start)), int(_plain(end))
     except ValueError:
         raise ParseError(path, ln, "non-integer sample index") from None
     try:
@@ -272,7 +281,7 @@ def read_heights(path) -> list[HeightRecord]:
     for ln, (subject, start, end, label, height) in rows:
         segment = _segment(path, ln, start, end, label)
         try:
-            height = float(height)
+            height = float(_plain(height))
         except ValueError:
             raise ParseError(path, ln, "non-numeric cell") from None
         if not 0 < height < math.inf:  # also rejects nan

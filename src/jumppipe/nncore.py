@@ -101,23 +101,32 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def conv1d_dilated(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
-    """Acausal 'same'-padded dilated convolution; output length equals input.
-
-    No padded copy is made: each tap's product adds into the rows of `out`
-    that its offset reaches, which is all that the zero rows changed.
-    """
+    """Acausal 'same'-padded dilated convolution; output length equals input."""
     x = as_tensor2(x)
     if x.shape[1] != kernel.in_channels:
         raise DimensionError(
             f"input has {x.shape[1]} channels, kernel expects {kernel.in_channels}"
         )
+    out = np.empty((x.shape[0], kernel.out_channels))
+    tap = np.empty_like(out) if kernel.kernel_size > 1 else None
+    return conv_into(x, kernel, out, tap)
+
+
+def conv_into(x: np.ndarray, kernel: ConvKernel, out: np.ndarray,
+              tap: np.ndarray | None) -> np.ndarray:
+    """conv1d_dilated of an already checked `x`, written into `out`. `out`
+    and `tap`, which holds each tap's product (unused when k = 1), are
+    C-contiguous (T, out_channels) arrays that do not overlap `x`.
+
+    No padded copy is made: each tap's product adds into the rows of `out`
+    that its offset reaches, which is all that the zero rows changed.
+    """
     k, d = kernel.kernel_size, kernel.dilation
     if k == 1:
-        out = x @ kernel.weights[0]
+        np.matmul(x, kernel.weights[0], out=out)
         out += kernel.bias
         return out
     T = x.shape[0]
-    out = np.empty((T, kernel.out_channels))
     out[:] = kernel.bias
     for i in range(k):
         offset = (i - (k - 1) // 2) * d
@@ -125,7 +134,7 @@ def conv1d_dilated(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
             continue
         # all T rows: a one-row product goes through gemv, which sums in
         # another order than the padded form's gemm
-        tap = x @ kernel.weights[i]
+        np.matmul(x, kernel.weights[i], out=tap)
         lo, hi = max(0, -offset), T - max(0, offset)
         out[lo:hi] += tap[lo + offset : hi + offset]
     return out

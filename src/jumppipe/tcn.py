@@ -177,17 +177,21 @@ def sstcn_backward(stage: list[ConvKernel], cache, grad_logits: np.ndarray):
     return [gw_in, gb_in, *grads], gx
 
 
+def _model_input(weights: ModelWeights, x) -> np.ndarray:
+    x = nncore.as_tensor2(x)
+    expected = weights.config.stage.in_channels
+    if x.shape[1] != expected:
+        raise DimensionError(
+            f"input has {x.shape[1]} channels, model expects {expected}"
+        )
+    return x
+
+
 def mstcn_forward(weights: ModelWeights, x: np.ndarray):
     """Run all stages; returns the per-stage probability sequences and the
     per-stage caches for backward."""
-    x = nncore.as_tensor2(x)
-    sc = weights.config.stage
-    if x.shape[1] != sc.in_channels:
-        raise DimensionError(
-            f"input has {x.shape[1]} channels, model expects {sc.in_channels}"
-        )
     probs_list, caches = [], []
-    inp = x
+    inp = _model_input(weights, x)
     for stage in weights.stages:
         logits, cache = sstcn_forward(stage, inp)
         probs = nncore.softmax_rows(logits)
@@ -255,8 +259,19 @@ def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:
 def predict(weights: ModelWeights, session) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample probabilities (final stage) and argmax labels.
 
-    Ties break toward the lowest class index.
+    Ties break toward the lowest class index. The same arithmetic as
+    `mstcn_forward`, but inference keeps no per-layer activations: each stage
+    runs in four (T, num_filters) buffers reused by every block.
     """
-    probs = mstcn_forward(weights, session.samples)[0][-1]
-    labels = np.argmax(probs, axis=1)
-    return probs, labels
+    inp = _model_input(weights, session.samples)
+    shape = (inp.shape[0], weights.config.stage.num_filters)
+    h, a, p, tap = (np.empty(shape) for _ in range(4))
+    for stage in weights.stages:
+        nncore.conv_into(inp, stage[0], h, tap)
+        for dk, pk in zip(stage[1:-1:2], stage[2:-1:2]):  # dilated, pointwise
+            nncore.conv_into(h, dk, a, tap)
+            np.maximum(a, 0.0, out=a)
+            nncore.conv_into(a, pk, p, tap)
+            h += p
+        inp = nncore.softmax_rows(nncore.conv1d_dilated(h, stage[-1]))
+    return inp, np.argmax(inp, axis=1)

@@ -103,6 +103,45 @@ class TestErrors:
         assert rc == EXIT_VALIDATION
         assert "features.csv:4: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["underscore", "fullwidth"])
+    @pytest.mark.parametrize("table", ["session", "heights", "annotations",
+                                       "features"])
+    def test_unplain_number_names_line(self, small_dataset, tmp_path, capsys,
+                                       table, fault):
+        # float() and int() read both spellings as the plain number
+        unplain = {"underscore": lambda c: "0_" + c,
+                   "fullwidth": lambda c: chr(ord(c[0]) + 0xFEE0) + c[1:]}
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in os.listdir(small_dataset):
+            (data / name).write_text((small_dataset / name).read_text())
+        if table == "annotations":
+            segs = [Segment(100, 150, 1), Segment(300, 340, 3)]
+            dataio.write_annotations(segs, tmp_path / "pred.csv")
+            dataio.write_annotations(segs, data / "truth.csv")
+            argv = ["eval-seg", "--pred", str(tmp_path / "pred.csv"),
+                    "--truth", str(data / "truth.csv")]
+        elif table == "features":
+            rng = np.random.default_rng(0)
+            dataio.write_feature_csv(rng.uniform(1, 2, size=(10, 145)),
+                                     rng.uniform(0.2, 0.5, size=10),
+                                     data / "features.csv")
+            argv = ["fit-reg", "--features", str(data / "features.csv")]
+        else:
+            argv = ["extract-features", "--data", str(data)]
+        path, cell = {"session": ("S00.csv", 0), "heights": ("heights.csv", 1),
+                      "annotations": ("truth.csv", 0),
+                      "features": ("features.csv", 0)}[table]
+        lines = (data / path).read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[cell] = unplain[fault](cells[cell])
+        lines[2] = ",".join(cells)
+        (data / path).write_text("\n".join(lines) + "\n")
+        rc = cli_dispatch([*argv, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert f"{path}:3: " in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _one_error_line(capsys) -> str:
         lines = capsys.readouterr().err.splitlines()

@@ -54,6 +54,7 @@ class TestCsvCodec:
           for f in ("short-row", "non-numeric", "nan", "inf")),
         *((t, f) for t in ("annotations", "heights")
           for f in ("negative-start", "background-label")),
+        *((t, f) for t in CSV_TABLES for f in ("underscore", "fullwidth")),
     ])
     def test_bad_row_names_its_line(self, tmp_path, table, fault, blank):
         read, header, row, numeric = CSV_TABLES[table]
@@ -66,6 +67,11 @@ class TestCsvCodec:
             cells[header.index("start_sample")] = "-5"
         elif fault == "background-label":
             cells[header.index("label")] = "NULL"
+        elif fault == "underscore":  # float() and int() read 0_3 as 3
+            cells[numeric] = "0_" + cells[numeric]
+        elif fault == "fullwidth":  # and a fullwidth '３' as 3
+            cells[numeric] = chr(ord(cells[numeric][0]) + 0xFEE0) \
+                + cells[numeric][1:]
         else:
             cells[numeric] = {"non-numeric": "x"}.get(fault, fault)
         lines += [",".join(cells), ",".join(row(bad_line + 1))]

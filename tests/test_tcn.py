@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,57 @@ class TestPredict:
             sess = dataio.ImuSession("a", np.zeros((n, 6)))
             _, labels = tcn.predict(w, sess)
             assert labels.shape == (n,)
+
+
+class TestPredictBuffers:
+    """predict walks each stage in reused buffers; it must give the training
+    forward's last-stage probabilities byte for byte."""
+
+    @pytest.mark.parametrize("kernel_size", [3, 5])
+    @pytest.mark.parametrize("num_stages", [1, 2, 3])
+    def test_equals_training_forward(self, num_stages, kernel_size):
+        for num_layers in (1, 4, 7):  # the largest dilation d is 1, 8, 64
+            d = 2 ** (num_layers - 1)
+            weights = tcn.build_mstcn(tcn.MsTcnConfig(
+                num_stages=num_stages,
+                stage=tcn.SsTcnConfig(num_layers=num_layers, num_filters=16,
+                                      kernel_size=kernel_size),
+                seed=num_layers))
+            for T in sorted({1, 2, 3, d, d + 1, 150}):
+                x = np.random.default_rng(T).normal(size=(T, 6))
+                for layout in (x, np.asfortranarray(x), x[::-1]):
+                    probs, labels = tcn.predict(
+                        weights, dataio.ImuSession("s", layout))
+                    ref = tcn.mstcn_forward(weights, layout)[0][-1]
+                    case = (num_layers, T)
+                    assert probs.tobytes() == ref.tobytes(), case
+                    assert labels.tobytes() == \
+                        np.argmax(ref, axis=1).tobytes(), case
+
+    def test_result_does_not_alias_a_buffer(self):
+        weights = tcn.build_mstcn(small_config(in_channels=6, num_classes=8))
+        rng = np.random.default_rng(0)
+        first = tcn.predict(weights,
+                            dataio.ImuSession("a", rng.normal(size=(40, 6))))
+        kept = [a.copy() for a in first]
+        tcn.predict(weights, dataio.ImuSession("b", rng.normal(size=(40, 6))))
+        for got, want in zip(first, kept):
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_a_few_activations(self):
+        # the criterion-7 shape; tracemalloc sees numpy's data buffers. Keeping
+        # every block's activations, as the training forward does, peaks
+        # near 47 activations of (T, 16) float64
+        T = 20_000
+        weights = tcn.build_mstcn(small_config(
+            num_stages=2, num_layers=7, num_filters=16, in_channels=6,
+            num_classes=8))
+        session = dataio.ImuSession(
+            "s", np.random.default_rng(0).normal(size=(T, 6)))
+        tracemalloc.start()
+        try:
+            tcn.predict(weights, session)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * T * 16 * 8, peak / (T * 16 * 8)
