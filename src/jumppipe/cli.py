@@ -191,6 +191,9 @@ def _run(args) -> int:
         return outputs[-1]
 
     func, _, inputs, _ = COMMANDS[args.command]
+    for flag, least in (("width", 4), ("min_duration", 0)):  # 4 for kurtosis
+        if getattr(args, flag, least) < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
     config, message = func(args, out)
     _write_json(os.path.join(args.out, "manifest.json"), {
         "command": args.command,

@@ -383,7 +383,6 @@ class SyntheticConfig:
     session_duration_s: float = 170.0
     noise_std_g: float = 0.05
     seed: int = 42
-    script_seed: int | None = None  # pin separately to vary only the noise
 
     def __post_init__(self):
         if self.num_subjects < 1:
@@ -490,13 +489,11 @@ def _dive_event():
 def synth_generate(config: SyntheticConfig):
     """Generate labeled synthetic sessions plus exact height records.
 
-    Deterministic per (seed, script_seed): the script rng drives event
-    order, timing and heights; the noise rng only adds measurement noise.
+    Deterministic per seed: the script rng drives event order, timing and
+    heights; the noise rng only adds measurement noise.
     """
     fs = SAMPLE_RATE_HZ
-    script_seed = config.script_seed if config.script_seed is not None \
-        else config.seed
-    script_master = np.random.default_rng(script_seed)
+    script_master = np.random.default_rng(config.seed)
     noise_master = np.random.default_rng(config.seed)
     sessions, height_records = [], []
     n_total = int(config.session_duration_s * fs)

@@ -29,9 +29,9 @@ class AgreementStats:
 
 @dataclass
 class ClassCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+    tp: int
+    fp: int
+    fn: int
 
     @property
     def precision(self) -> float:
@@ -204,7 +204,7 @@ def _height_of(heights, subject_id, segment) -> float:
     return heights[key]
 
 
-def feature_table(sessions, height_records, width: int = DEFAULT_ROI_WIDTH):
+def feature_table(sessions, height_records, width: int):
     """Feature matrix + height targets of every annotated height-eligible
     segment, session by session in temporal order (zero rows if none)."""
     heights = _height_lookup(height_records)
@@ -227,7 +227,6 @@ def run_pipeline_eval(
     height_records,
     tcn_config: tcn.MsTcnConfig,
     regressor_kind: str = "rf",
-    regressor_config=None,
     width: int = DEFAULT_ROI_WIDTH,
     threshold: float = DEFAULT_IOU_THRESHOLD,
     min_duration: int = segmentation.DEFAULT_MIN_DURATION,
@@ -246,10 +245,15 @@ def run_pipeline_eval(
     sessions = list(sessions)
     heights = _height_lookup(height_records)
     folds = loso_split(s.subject_id for s in sessions)
-    # Each subject's ground-truth table, built once for every fold; an
-    # unlabeled session or a missing height fails here, before training.
+    # Every subject's table, built once for all folds: an unlabeled session, a
+    # missing height or a fold with no training jump fails before training.
     tables = {s.subject_id: feature_table([s], height_records, width)
               for s in sessions}
+    for fold in folds:
+        if not any(tables[s][1].size for s in fold.train_subjects):
+            raise ValueError(f"fold {fold.fold_index + 1}/{len(folds)} (test "
+                             f"subject {fold.test_subject}): no training "
+                             f"subject has a height-eligible jump")
 
     tp, fp, fn = Counter(), Counter(), Counter()
     fold_counts = []  # (truth, predicted) jump counts of each fold
@@ -275,8 +279,7 @@ def run_pipeline_eval(
 
         X_train, y_train = map(np.concatenate, zip(
             *[tables[s] for s in fold.train_subjects]))
-        model = regression.fit(regressor_kind, X_train, y_train,
-                               regressor_config)
+        model = regression.fit(regressor_kind, X_train, y_train, None)
         n = test_session.samples.shape[0]
         for pred_seg, truth_seg, _ in match.pairs:
             if not DEFAULT_VOCAB.is_jump(truth_seg.class_id):

@@ -205,7 +205,7 @@ def _check_input(model: TrainedRegressor, X) -> np.ndarray:
 
 # --------------------------------------------------------------- forest
 
-def fit_rf(X, y, config: RfConfig = RfConfig()) -> TrainedRegressor:
+def fit_rf(X, y, config: RfConfig) -> TrainedRegressor:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     p = X.shape[1]
@@ -235,7 +235,7 @@ def predict_rf(model: TrainedRegressor, X):
 
 # ------------------------------------------------------------- boosting
 
-def fit_gbt(X, y, config: GbtConfig = GbtConfig()) -> TrainedRegressor:
+def fit_gbt(X, y, config: GbtConfig) -> TrainedRegressor:
     """Stagewise squared-error boosting: each tree fits the running residual."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -300,7 +300,7 @@ def _mlp_backward(layers, caches, grad_out):
     return flat
 
 
-def fit_mlp_regressor(X, y, config: MlpRegConfig = MlpRegConfig()) -> TrainedRegressor:
+def fit_mlp_regressor(X, y, config: MlpRegConfig) -> TrainedRegressor:
     """Single-hidden-layer ReLU net on z-scored features, full-batch Adam."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -332,16 +332,18 @@ def predict_mlp(model: TrainedRegressor, X):
 
 
 _PREDICTORS = {"rf": predict_rf, "gbt": predict_gbt, "mlp": predict_mlp}
-_FITTERS = {"rf": fit_rf, "gbt": fit_gbt, "mlp": fit_mlp_regressor}
+_FITTERS = {"rf": (fit_rf, RfConfig), "gbt": (fit_gbt, GbtConfig),
+            "mlp": (fit_mlp_regressor, MlpRegConfig)}
 
 
 def predict(model: TrainedRegressor, X):
     return _PREDICTORS[model.kind](model, X)
 
 
-def fit(kind: str, X, y, config=None):
-    fitter = _FITTERS[kind]
-    return fitter(X, y) if config is None else fitter(X, y, config)
+def fit(kind: str, X, y, config):
+    """Fit a `kind` regressor; a `None` config means the kind's defaults."""
+    fitter, default = _FITTERS[kind]
+    return fitter(X, y, default() if config is None else config)
 
 
 # ----------------------------------------------------- checkpoint body
@@ -447,7 +449,7 @@ def from_doc(kind: str, doc: dict) -> TrainedRegressor:
 # --------------------------------------------------------- importance
 
 def permutation_importance(
-    model: TrainedRegressor, X, y, repeats: int = 10, seed: int = 0
+    model: TrainedRegressor, X, y, repeats: int, seed: int
 ) -> list[tuple[int, float]]:
     """Per-feature drop in R^2 when the feature column is shuffled.
 

@@ -5,7 +5,7 @@ of predicted segments against annotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,8 @@ DEFAULT_MIN_DURATION = 10  # samples
 class ClassVocabulary:
     """Ordered class names; index 0 is the background/non-jump class."""
 
-    names: tuple = ("NULL", "CMJ", "Smash", "Block", "OS", "Squat", "Dive", "Hop")
-    height_eligible: frozenset = frozenset({"CMJ", "Smash", "Block", "OS"})
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("class names must be unique")
-        unknown = self.height_eligible - set(self.names)
-        if unknown:
-            raise ValueError(f"height-eligible classes not in vocabulary: {unknown}")
+    names: tuple
+    height_eligible: frozenset
 
     @property
     def num_classes(self) -> int:
@@ -56,7 +49,9 @@ class ClassVocabulary:
 
 # The pipeline's one vocabulary: every label file, the TCN's class count and
 # the jump ordinal feature assume it, and no checkpoint records its names.
-DEFAULT_VOCAB = ClassVocabulary()
+DEFAULT_VOCAB = ClassVocabulary(
+    names=("NULL", "CMJ", "Smash", "Block", "OS", "Squat", "Dive", "Hop"),
+    height_eligible=frozenset({"CMJ", "Smash", "Block", "OS"}))
 
 
 @dataclass(frozen=True, order=True)
@@ -99,9 +94,9 @@ class MatchResult:
     unmatched_pred: list
     unmatched_truth: list
     threshold: float
-    per_class_tp: dict = field(default_factory=dict)
-    per_class_fp: dict = field(default_factory=dict)
-    per_class_fn: dict = field(default_factory=dict)
+    per_class_tp: dict
+    per_class_fp: dict
+    per_class_fn: dict
 
     @property
     def tp(self) -> int:
@@ -214,13 +209,12 @@ def match_segments(
         pairs.append((pred[pi], truth[ti], -neg_v))
     unmatched_pred = [p for i, p in enumerate(pred) if i not in used_p]
     unmatched_truth = [t for i, t in enumerate(truth) if i not in used_t]
-    result = MatchResult(pairs, unmatched_pred, unmatched_truth, threshold)
     classes = sorted({s.class_id for s in pred} | {s.class_id for s in truth})
-    for c in classes:
-        result.per_class_tp[c] = sum(1 for p, _, _ in pairs if p.class_id == c)
-        result.per_class_fp[c] = sum(1 for p in unmatched_pred if p.class_id == c)
-        result.per_class_fn[c] = sum(1 for t in unmatched_truth if t.class_id == c)
-    return result
+    tp = {c: sum(1 for p, _, _ in pairs if p.class_id == c) for c in classes}
+    fp = {c: sum(1 for p in unmatched_pred if p.class_id == c) for c in classes}
+    fn = {c: sum(1 for t in unmatched_truth if t.class_id == c) for c in classes}
+    return MatchResult(pairs, unmatched_pred, unmatched_truth, threshold,
+                       tp, fp, fn)
 
 
 def jump_counts(segments) -> dict:

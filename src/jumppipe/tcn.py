@@ -122,7 +122,7 @@ def weights_from_doc(doc) -> ModelWeights:
     return weights
 
 
-def _init_kernel(rng, k: int, cin: int, cout: int, dilation: int = 1) -> ConvKernel:
+def _init_kernel(rng, k: int, cin: int, cout: int, dilation: int) -> ConvKernel:
     bound = 1.0 / math.sqrt(k * cin)
     w = rng.uniform(-bound, bound, size=(k, cin, cout))
     b = rng.uniform(-bound, bound, size=(cout,))
@@ -137,12 +137,12 @@ def build_mstcn(config: MsTcnConfig) -> ModelWeights:
     stages = []
     for s in range(config.num_stages):
         din = sc.in_channels if s == 0 else sc.num_classes
-        kernels = [_init_kernel(rng, 1, din, sc.num_filters)]
+        kernels = [_init_kernel(rng, 1, din, sc.num_filters, 1)]
         for l in range(sc.num_layers):
             kernels += [_init_kernel(rng, sc.kernel_size, sc.num_filters,
-                                     sc.num_filters, dilation=2**l),
-                        _init_kernel(rng, 1, sc.num_filters, sc.num_filters)]
-        kernels.append(_init_kernel(rng, 1, sc.num_filters, sc.num_classes))
+                                     sc.num_filters, 2**l),
+                        _init_kernel(rng, 1, sc.num_filters, sc.num_filters, 1)]
+        kernels.append(_init_kernel(rng, 1, sc.num_filters, sc.num_classes, 1))
         stages.append(kernels)
     return ModelWeights(config=config, stages=stages)
 

@@ -177,6 +177,28 @@ class TestErrors:
         assert message in self._one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("extract-features", "--width", "3", "--width must be >= 4"),
+        ("extract-features", "--width", "0", "--width must be >= 4"),
+        ("extract-features", "--width", "-5", "--width must be >= 4"),
+        ("pipeline", "--width", "3", "--width must be >= 4"),
+        ("predict", "--min-duration", "-3", "--min-duration must be >= 0"),
+        ("pipeline", "--min-duration", "-1", "--min-duration must be >= 0"),
+    ])
+    def test_bad_width_or_min_duration_rejected(self, chain, tmp_path, capsys,
+                                                monkeypatch, command, flag,
+                                                value, message):
+        monkeypatch.setattr(tcn, "train", _refuse_training)
+        inputs = {"extract-features": ["--data", chain["data"]],
+                  "predict": ["--model", chain["model"],
+                              "--session", chain["session"]],
+                  "pipeline": ["--data", chain["data"], *TINY_TCN]}
+        rc = cli_dispatch([command, *inputs[command], flag, value,
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert message in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threshold", ["2", "-1", "nan"])
     @pytest.mark.parametrize("command", ["eval-seg", "pipeline"])
     def test_iou_threshold_outside_unit_interval_rejected(
@@ -319,6 +341,26 @@ class TestShortSessions:
         dataio.write_feature_csv(expected[None], [0.3], tmp_path / "ref.csv")
         assert (tmp_path / "feat" / "features.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("T", [1, 2, 150])
+    def test_pipeline_without_jumps_refused_before_training(
+            self, tmp_path, capsys, monkeypatch, T):
+        monkeypatch.setattr(tcn, "train", _refuse_training)
+        data = tmp_path / "data"
+        data.mkdir()
+        for s in range(3):
+            session = dataio.ImuSession(
+                f"S{s}", np.random.default_rng(s).normal(size=(T, 6)),
+                np.zeros(T, dtype=np.int64))
+            dataio.write_session_csv(session, data / f"S{s}.csv")
+        dataio.write_heights([], data / "heights.csv")
+        rc = cli_dispatch(["pipeline", "--data", str(data), *TINY_TCN,
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: fold 1/3 (test subject S0): no training subject has a "
+            "height-eligible jump"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestRegressionChain:

@@ -538,15 +538,6 @@ class TestSyntheticGenerator:
             assert np.array_equal(a.labels, b.labels)
         assert h1 == h2
 
-    def test_two_seed_design_shares_script(self):
-        base = dict(num_subjects=1, jumps_per_class={"CMJ": 3},
-                    session_duration_s=15.0, script_seed=77)
-        s1, h1 = synth_generate(SyntheticConfig(seed=1, **base))
-        s2, h2 = synth_generate(SyntheticConfig(seed=2, **base))
-        assert np.array_equal(s1[0].labels, s2[0].labels)  # same script
-        assert h1 == h2
-        assert s1[0].samples.tobytes() != s2[0].samples.tobytes()  # noise only
-
     def test_flight_time_formula(self):
         assert flight_time_s(0.45) == pytest.approx(math.sqrt(8 * 0.45 / 9.81))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jumppipe import dataio, evaluation as ev, features as feat
-from jumppipe import regression, segmentation as seg, tcn
+from jumppipe import segmentation as seg, tcn
 from jumppipe.evaluation import (bland_altman_points, limits_of_agreement,
                                  loso_split, mape, pearson_r,
                                  precision_recall_f1, r_squared, reg_metrics,
@@ -253,15 +253,23 @@ class TestPipelinePlumbing:
     @pytest.mark.parametrize("defect, message", [
         ("height", "missing height for segment .* of subject 'S00'"),
         ("labels", "session 'S02' has no labels"),
+        ("only S00 jumps", r"fold 1/3 \(test subject S00\): no training"),
+        ("only S02 jumps", r"fold 3/3 \(test subject S02\): no training"),
     ])
     def test_bad_input_fails_before_training(self, tiny_dataset, monkeypatch,
                                              defect, message):
         sessions, heights = tiny_dataset
         if defect == "height":
             heights = [r for r in heights if r.subject_id != "S00"]
-        else:
+        elif defect == "labels":
             sessions = [*sessions[:2],
                         dataio.ImuSession("S02", sessions[2].samples)]
+        else:
+            jumper = defect.split()[1]
+            sessions = [s if s.subject_id == jumper else dataio.ImuSession(
+                s.subject_id, s.samples, np.zeros_like(s.labels))
+                for s in sessions]
+            heights = [r for r in heights if r.subject_id == jumper]
 
         def no_training(cfg, s):
             raise AssertionError("training started before input was checked")
@@ -295,9 +303,7 @@ class TestPipelinePlumbing:
         monkeypatch.setattr(ev.tcn, "predict",
                             lambda w, s: (None, s.labels.copy()))
         report = run_pipeline_eval(sessions, heights,
-                                   tcn.MsTcnConfig(epochs=0),
-                                   regressor_config=regression.RfConfig(
-                                       n_estimators=5))
+                                   tcn.MsTcnConfig(epochs=0))
         assert len(calls) == len(heights) + len(report.bland_altman_points)
 
     def test_report_serialization_schema(self, tiny_dataset, monkeypatch):

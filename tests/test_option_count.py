@@ -1,10 +1,11 @@
-"""The number of settable values in `src/jumppipe` is pinned.
+"""The settable values in `src/jumppipe` are pinned by name.
 
 A settable value is a dataclass field with a default or a function parameter
 with a default (nested functions and lambdas included). Each is a knob that a
 caller may turn; one that only ever holds its default is a constant in
 disguise. When an option is added or removed on purpose, change
-`EXPECTED_OPTIONS` in the same change and say so in CHANGES.md.
+`EXPECTED_OPTIONS` in the same change and say so in CHANGES.md; a failure
+names each value added and removed.
 """
 
 import ast
@@ -12,7 +13,59 @@ from pathlib import Path
 
 import jumppipe
 
-EXPECTED_OPTIONS = 69
+EXPECTED_OPTIONS = [
+    "dataio:ImuSession.labels",
+    "dataio:SyntheticConfig.jumps_per_class",
+    "dataio:SyntheticConfig.noise_std_g",
+    "dataio:SyntheticConfig.num_subjects",
+    "dataio:SyntheticConfig.seed",
+    "dataio:SyntheticConfig.session_duration_s",
+    "dataio:load_checkpoint.expect",
+    "evaluation:precision_recall_f1.vocab",
+    "evaluation:run_pipeline_eval.min_duration",
+    "evaluation:run_pipeline_eval.progress",
+    "evaluation:run_pipeline_eval.regressor_kind",
+    "evaluation:run_pipeline_eval.threshold",
+    "evaluation:run_pipeline_eval.width",
+    "features:extract_feature_vector.vocab",
+    "nncore:AdamState.first_moment",
+    "nncore:AdamState.lr",
+    "nncore:AdamState.second_moment",
+    "nncore:AdamState.step",
+    "nncore:ConvKernel.dilation",
+    "nncore:LossConfig.lambda_tmse",
+    "nncore:LossConfig.tau",
+    "regression:GbtConfig.eta",
+    "regression:GbtConfig.max_depth",
+    "regression:GbtConfig.n_estimators",
+    "regression:MlpRegConfig.hidden_layers",
+    "regression:MlpRegConfig.lr",
+    "regression:MlpRegConfig.max_iter",
+    "regression:MlpRegConfig.seed",
+    "regression:RfConfig.max_depth",
+    "regression:RfConfig.max_leaf_nodes",
+    "regression:RfConfig.n_estimators",
+    "regression:RfConfig.seed",
+    "regression:fit_tree.features_per_split",
+    "regression:fit_tree.max_depth",
+    "regression:fit_tree.max_leaf_nodes",
+    "regression:fit_tree.rng",
+    "segmentation:extract_segments.vocab",
+    "segmentation:match_segments.threshold",
+    "segmentation:min_duration_filter.min_len",
+    "segmentation:select_roi.width",
+    "tcn:MsTcnConfig.epochs",
+    "tcn:MsTcnConfig.loss",
+    "tcn:MsTcnConfig.lr",
+    "tcn:MsTcnConfig.num_stages",
+    "tcn:MsTcnConfig.seed",
+    "tcn:MsTcnConfig.stage",
+    "tcn:SsTcnConfig.in_channels",
+    "tcn:SsTcnConfig.kernel_size",
+    "tcn:SsTcnConfig.num_classes",
+    "tcn:SsTcnConfig.num_filters",
+    "tcn:SsTcnConfig.num_layers",
+]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -47,7 +100,9 @@ def settable_values() -> list[str]:
 
 
 def test_settable_value_count_is_pinned():
-    found = settable_values()
-    assert len(found) == EXPECTED_OPTIONS, (
-        f"{len(found)} settable values, expected {EXPECTED_OPTIONS}:\n"
-        + "\n".join(found))
+    found = sorted(settable_values())
+    added = sorted(set(found) - set(EXPECTED_OPTIONS))
+    removed = sorted(set(EXPECTED_OPTIONS) - set(found))
+    assert found == EXPECTED_OPTIONS, (
+        f"{len(found)} settable values, expected {len(EXPECTED_OPTIONS)}; "
+        f"added: {added}, removed: {removed}")

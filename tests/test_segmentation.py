@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumppipe import segmentation as seg
-from jumppipe.segmentation import (DEFAULT_VOCAB, ClassVocabulary, Segment,
+from jumppipe.segmentation import (DEFAULT_VOCAB, Segment,
                                    extract_segments, iou, jump_counts,
                                    match_segments, min_duration_filter,
                                    roi_window, segments_to_labels, select_roi)
@@ -26,10 +26,10 @@ class TestVocabulary:
                                                          "Block", "OS")]
         assert ordinals == [0, 1, 2, 3]
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            ClassVocabulary(names=("NULL", "CMJ", "CMJ"),
-                            height_eligible=frozenset({"CMJ"}))
+    def test_default_vocab_names_unique_and_eligible_known(self):
+        names = DEFAULT_VOCAB.names
+        assert len(set(names)) == len(names)
+        assert DEFAULT_VOCAB.height_eligible <= set(names)
 
     def test_unknown_class_lookup(self):
         with pytest.raises(KeyError):
