@@ -8,6 +8,8 @@ which catalog they were fit against.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .segmentation import DEFAULT_VOCAB, ClassVocabulary
@@ -40,6 +42,22 @@ SCALING_DEGREE = {
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _spectrum_axes(n: int):
+    """(frequencies, one-sided scale, 5 Hz bin, 20 Hz bin) of an n-sample
+    window; read-only, built once per width."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
+    # interior bins fold in the negative frequencies
+    scale = np.full(freqs.size, 2.0)
+    scale[0] = 1.0
+    if n % 2 == 0:
+        scale[-1] = 1.0
+    b5, b20 = np.searchsorted(freqs, [5.0, 20.0])
+    for a in (freqs, scale):
+        a.setflags(write=False)
+    return freqs, scale, b5, b20
+
+
 def power_spectrum(signal):
     """One-sided power spectrum of the mean-removed signal, along its last
     axis, so a (C, W) matrix gives one spectrum per row.
@@ -54,12 +72,7 @@ def power_spectrum(signal):
     x = x - x.mean(axis=-1, keepdims=True)
     spec = np.fft.rfft(x, axis=-1)
     power = np.abs(spec) ** 2 / n
-    # interior bins fold in the negative frequencies
-    scale = np.full(power.shape[-1], 2.0)
-    scale[0] = 1.0
-    if n % 2 == 0:
-        scale[-1] = 1.0
-    freqs = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
+    freqs, scale, _, _ = _spectrum_axes(n)
     return freqs, power * scale
 
 
@@ -84,33 +97,75 @@ def spectral_entropy(signal) -> float:
     return _entropy_of_power(power)
 
 
+@functools.lru_cache(maxsize=64)
+def _window_axes(n: int):
+    """What `_time_features` needs per width, as numpy computes it:
+    `np.polyfit`'s scaled design, scale and rcond for a degree-1 fit on
+    0..n-1, and the lower neighbour indexes and weights of the 75th and
+    25th linear-method percentiles."""
+    design = np.vander(np.arange(n) + 0.0, 2)
+    scale = np.sqrt((design * design).sum(axis=0))
+    design /= scale
+    virtual = (n - 1) * np.true_divide([75, 25], 100)
+    prev = np.floor(virtual)
+    gamma = virtual - prev
+    for a in (design, scale, gamma):
+        a.setflags(write=False)
+    return design, scale, n * np.finfo(np.float64).eps, prev.astype(np.intp), gamma
+
+
+def _order_stats(X, prev, gamma):
+    """Max, min, median and 75-25 interquartile range of each row of X, from
+    one sort, with np.percentile's linear interpolation between the sorted
+    neighbours `prev` and `prev + 1`. Sort and numpy's partition may order
+    -0.0 and 0.0 differently, and NaN too, so a matrix holding either goes
+    through numpy's own functions."""
+    srt = np.sort(X, axis=1)
+    if np.isnan(srt[:, -1]).any() or np.signbit(srt[srt == 0]).any():
+        q75, q25 = np.percentile(X, [75, 25], axis=1)
+        return X.max(axis=1), X.min(axis=1), np.median(X, axis=1), q75 - q25
+    n = X.shape[1]
+    median = srt[:, (n - 1) // 2 : n // 2 + 1].mean(axis=1)
+    lo, hi = srt[:, prev], srt[:, prev + 1]
+    diff = hi - lo
+    q = lo + diff * gamma
+    np.subtract(hi, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    return srt[:, -1], srt[:, 0], median, q[:, 0] - q[:, 1]
+
+
 def _time_features(X: np.ndarray) -> np.ndarray:
-    """(C, 16): the time-domain features of each row of X."""
+    """(C, 16): the time-domain features of each row of X, byte for byte as
+    numpy's max, min, median, std, var, percentile and polyfit give them."""
     C, n = X.shape
+    design, scale, rcond, prev, gamma = _window_axes(n)
     mean = X.mean(axis=1)
     centered = X - mean[:, None]
     sq = centered**2
-    var_pop = sq.mean(axis=1)
+    sq_sum = sq.sum(axis=1)
+    var_pop = sq_sum / n
+    var = sq_sum / (n - 1)  # ddof = 1, as np.var; np.std is its sqrt
     lag1 = centered[:, :-1] * centered[:, 1:]
     live = var_pop > 0
     skew, kurt, autocorr, zcr = np.zeros((4, C))
     if live.any():
+        live = slice(None) if live.all() else live  # no copies when all live
         # Python float powers: numpy's power differs in the last bit
         v = [float(s) for s in var_pop[live]]
-        skew[live] = (centered[live] ** 3).mean(axis=1) / [s**1.5 for s in v]
-        kurt[live] = (centered[live] ** 4).mean(axis=1) / [s**2 for s in v] - 3.0
-        autocorr[live] = lag1[live].sum(axis=1) / sq[live].sum(axis=1)
+        c = centered[live]
+        skew[live] = (c**3).mean(axis=1) / [s**1.5 for s in v]
+        kurt[live] = (c**4).mean(axis=1) / [s**2 for s in v] - 3.0
+        autocorr[live] = lag1[live].sum(axis=1) / sq_sum[live]
         zcr[live] = np.count_nonzero(lag1[live] < 0, axis=1) / (n - 1)
-    # one fit per row: a multi-column lstsq differs in the last bit
-    slope = [np.polyfit(np.arange(n), row, 1)[0] for row in X]
-    hi, lo = X.max(axis=1), X.min(axis=1)
-    q75, q25 = np.percentile(X, [75, 25], axis=1)
+    # np.polyfit's arithmetic (it adds 0.0 to y), one fit per row: a
+    # multi-column lstsq differs in the last bit
+    slope = [np.linalg.lstsq(design, row, rcond)[0][0] / scale[0]
+             for row in X + 0.0]
+    hi, lo, median, iqr = _order_stats(X, prev, gamma)
+    energy = (X * X).sum(axis=1)
     return np.stack([
-        hi, lo, mean, np.median(X, axis=1),
-        X.std(axis=1, ddof=1), X.var(axis=1, ddof=1),
-        np.sqrt((X**2).mean(axis=1)), hi - lo, q75 - q25, skew, kurt,
-        np.abs(np.diff(X, axis=1)).mean(axis=1), zcr, (X**2).sum(axis=1),
-        autocorr, slope,
+        hi, lo, mean, median, np.sqrt(var), var, np.sqrt(energy / n),
+        hi - lo, iqr, skew, kurt, np.abs(np.diff(X, axis=1)).mean(axis=1),
+        zcr, energy, autocorr, slope,
     ], axis=1)
 
 
@@ -118,6 +173,7 @@ def _freq_features(X: np.ndarray) -> np.ndarray:
     """(C, 8): the frequency-domain features of each row of X; a row with
     zero spectral power gets zeros."""
     freqs, power = power_spectrum(X)
+    _, _, b5, b20 = _spectrum_axes(X.shape[1])
     out = np.zeros((X.shape[0], len(FREQ_FEATURES)))
     total = power.sum(axis=1)
     live = total > 0
@@ -130,7 +186,6 @@ def _freq_features(X: np.ndarray) -> np.ndarray:
     peak = np.argmax(power, axis=1)
     rolloff = np.count_nonzero(np.cumsum(p, axis=1) < 0.85, axis=1)
     # the bands are contiguous bin ranges; slices keep the summation order
-    b5, b20 = np.searchsorted(freqs, [5.0, 20.0])
     out[live] = np.stack([
         [_entropy_of_power(row) for row in power], centroid, spread,
         freqs[peak], power[np.arange(peak.size), peak], freqs[rolloff],

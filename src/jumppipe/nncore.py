@@ -9,7 +9,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,32 +256,49 @@ def tmse_grad(probs: np.ndarray, config: LossConfig) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam over a flat list of parameter arrays."""
+    """Bias-corrected Adam over a list of parameter arrays; the moments are
+    flat vectors over the parameters joined in list order."""
 
     lr: float = 5e-4
     step: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> None:
-    """One in-place Adam update on every parameter array."""
+    """One in-place Adam update on every parameter array.
+
+    The gradients are joined into one vector and every elementwise step runs
+    on it in place; each element goes through the same IEEE operations as a
+    per-array update would, so the result is the same to the bit."""
     if len(params) != len(grads):
         raise DimensionError("params/grads list length mismatch")
-    if not state.first_moment:
-        state.first_moment = [np.zeros_like(p) for p in params]
-        state.second_moment = [np.zeros_like(p) for p in params]
-    state.step += 1
-    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise DimensionError(f"param shape {p.shape} != grad shape {g.shape}")
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+    g = np.concatenate([np.ravel(a) for a in grads])
+    if state.first_moment is None:
+        state.first_moment = np.zeros_like(g)
+        state.second_moment = np.zeros_like(g)
+    state.step += 1
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    u = np.multiply(g, 1 - b1)
+    m += u
+    v *= b2
+    np.multiply(g, 1 - b2, out=u)
+    u *= g
+    v += u
+    np.divide(m, 1 - b1**t, out=u)  # mhat
+    u *= state.lr
+    np.divide(v, 1 - b2**t, out=g)  # vhat
+    np.sqrt(g, out=g)
+    g += ADAM_EPSILON
+    u /= g  # lr * mhat / (sqrt(vhat) + eps)
+    start = 0
+    for p in params:
+        p -= u[start : start + p.size].reshape(p.shape)
+        start += p.size

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -179,17 +179,56 @@ def fit_tree(
     return Tree(*(np.array(col) for col in zip(*nodes)))
 
 
+def _walk(tree: Tree, X: np.ndarray, node: np.ndarray,
+          rows: np.ndarray) -> np.ndarray:
+    """Advance each start `node[i]`, in place, to the leaf that row `rows[i]`
+    of X reaches; all walks go down together, one level per step."""
+    live = np.arange(node.size)
+    while live.size:
+        live = live[tree.feature[node[live]] >= 0]
+        at = node[live]
+        go_left = X[rows[live], tree.feature[at]] <= tree.threshold[at]
+        node[live] = np.where(go_left, tree.left[at], tree.right[at])
+    return node
+
+
 def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Walk all rows down the tree together, one level per step."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    while rows.size:
-        rows = rows[tree.feature[node[rows]] >= 0]
-        at = node[rows]
-        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return tree.value[node]
+    n = X.shape[0]
+    return tree.value[_walk(tree, X, np.zeros(n, dtype=np.int64),
+                            np.arange(n))]
+
+
+# Walks per step of `_predict_trees`: one joined walk beats a walk per tree
+# by 8x on 20 rows, but on thousands of rows the joined index arrays leave
+# the cache, so rows go in blocks of about this many walks.
+WALK_BLOCK = 16384
+
+
+def _predict_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """(trees, rows) leaf values: every tree walked at once over their node
+    arrays joined in order, with child indexes shifted by each tree's
+    offset."""
+    n = X.shape[0]
+    out = np.empty((len(trees), n))
+    if not trees:
+        return out
+    sizes = [t.feature.size for t in trees]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    shift = np.repeat(offsets, sizes)
+    joined = Tree(*(np.concatenate([getattr(t, f.name) for t in trees])
+                    for f in fields(Tree)))
+    inner = joined.feature >= 0
+    joined.left[inner] += shift[inner]
+    joined.right[inner] += shift[inner]
+    step = max(1, WALK_BLOCK // len(trees))
+    for a in range(0, n, step):
+        rows = np.arange(a, min(a + step, n))
+        leaves = _walk(joined, X, np.repeat(offsets, rows.size),
+                       np.tile(rows, len(trees)))
+        out[:, rows] = joined.value[leaves].reshape(len(trees), rows.size)
+    return out
 
 
 def _check_input(model: TrainedRegressor, X) -> np.ndarray:
@@ -229,7 +268,7 @@ def fit_rf(X, y, config: RfConfig) -> TrainedRegressor:
 
 def predict_rf(model: TrainedRegressor, X):
     X, single = _check_input(model, X)
-    preds = np.mean([predict_tree(t, X) for t in model.payload["trees"]], axis=0)
+    preds = np.mean(_predict_trees(model.payload["trees"], X), axis=0)
     return float(preds[0]) if single else preds
 
 
@@ -257,8 +296,8 @@ def predict_gbt(model: TrainedRegressor, X):
     X, single = _check_input(model, X)
     preds = np.full(X.shape[0], model.payload["base"])
     eta = model.payload["eta"]
-    for tree in model.payload["trees"]:
-        preds += eta * predict_tree(tree, X)
+    for values in _predict_trees(model.payload["trees"], X):
+        preds += eta * values  # in tree order, as fit_gbt adds them
     return float(preds[0]) if single else preds
 
 

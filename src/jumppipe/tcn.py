@@ -10,6 +10,8 @@ of the previous stage's logits and refine it.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -256,22 +258,69 @@ def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:
     return weights, history
 
 
-def predict(weights: ModelWeights, session) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample probabilities (final stage) and argmax labels.
+# Rows per span of `predict`. Measured on the stream model (2 stages x 7
+# layers x 16 filters, H = 254, 2 vCPU, OpenBLAS): 2048- and 3072-row spans
+# on two threads take 31-32 ms at T = 16 836 against 60 ms whole; 4096-row
+# spans take 68 ms, as OpenBLAS then threads each product and oversubscribes
+# the cores. A span is at least 8 H rows, so recomputed halo rows stay under
+# a quarter of the work: at the default 4 x 10 x 64 shape (H = 4092),
+# 2048-row spans were 5x slower than the whole session.
+CHUNK_ROWS = 2048
 
-    Ties break toward the lowest class index. The same arithmetic as
-    `mstcn_forward`, but inference keeps no per-layer activations: each stage
-    runs in four (T, num_filters) buffers reused by every block.
-    """
-    inp = _model_input(weights, session.samples)
-    shape = (inp.shape[0], weights.config.stage.num_filters)
+
+def halo_rows(config: MsTcnConfig) -> int:
+    """H: output row t of the MS-TCN depends only on input rows within H of
+    t, since each stage widens the dependence by half its receptive field."""
+    return config.num_stages * (config.stage.receptive_field() - 1) // 2
+
+
+def span_rows(config: MsTcnConfig) -> int:
+    """Rows per span of `predict`: CHUNK_ROWS, or 8 H if that is more."""
+    return max(CHUNK_ROWS, 8 * halo_rows(config))
+
+
+def _predict_rows(weights: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Last-stage probabilities of `x`, as `mstcn_forward` computes them, but
+    in four (T, num_filters) buffers reused by every block."""
+    shape = (x.shape[0], weights.config.stage.num_filters)
     h, a, p, tap = (np.empty(shape) for _ in range(4))
     for stage in weights.stages:
-        nncore.conv_into(inp, stage[0], h, tap)
+        nncore.conv_into(x, stage[0], h, tap)
         for dk, pk in zip(stage[1:-1:2], stage[2:-1:2]):  # dilated, pointwise
             nncore.conv_into(h, dk, a, tap)
             np.maximum(a, 0.0, out=a)
             nncore.conv_into(a, pk, p, tap)
             h += p
-        inp = nncore.softmax_rows(nncore.conv1d_dilated(h, stage[-1]))
-    return inp, np.argmax(inp, axis=1)
+        x = nncore.softmax_rows(nncore.conv1d_dilated(h, stage[-1]))
+    return x
+
+
+def predict(weights: ModelWeights, session) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample probabilities (final stage) and argmax labels.
+
+    Ties break toward the lowest class index. The session is cut into spans
+    of `span_rows`; each span [a, b) runs over rows [a - H, b + H) clipped to
+    the session and keeps rows [a, b), which are then exact (`halo_rows`),
+    so the output is byte for byte that of `mstcn_forward`. Spans run on a
+    per-call pool of min(usable CPUs, spans) threads; one span runs in the
+    caller's thread. Memory is bounded by the span size, not by T, apart
+    from the (T, classes) output.
+    """
+    inp = _model_input(weights, session.samples)
+    T, halo = inp.shape[0], halo_rows(weights.config)
+    span = span_rows(weights.config)
+    probs = np.empty((T, weights.config.stage.num_classes))
+
+    def run(a):
+        b = min(a + span, T)
+        lo, hi = max(a - halo, 0), min(b + halo, T)
+        probs[a:b] = _predict_rows(weights, inp[lo:hi])[a - lo : b - lo]
+
+    if T <= span:
+        run(0)
+    else:
+        starts = range(0, T, span)
+        workers = min(len(os.sched_getaffinity(0)), len(starts))
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, starts))  # re-raises a span's error
+    return probs, np.argmax(probs, axis=1)

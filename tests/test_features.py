@@ -257,29 +257,43 @@ def _oracle_vector(window, class_id):
     return np.array([v for part in parts for v in part] + [float(ordinal)])
 
 
+def _width_windows(width):
+    """Random, constant, all-zero and zero-padded edge ROI windows."""
+    rng = np.random.default_rng(width)
+    for k in range(4):
+        yield f"random{k}", rng.normal(size=(width, 6)) * rng.uniform(
+            0.01, 100, size=6)
+    constant = rng.normal(size=(width, 6))
+    constant[:, [1, 4]] = [1.0, -3.25]
+    yield "constant_channels", constant
+    yield "all_zero", np.zeros((width, 6))
+    session = rng.normal(size=(width // 2 + 1, 6))
+    n = session.shape[0]
+    for segment in (seg.Segment(0, 1, 1), seg.Segment(n - 1, n, 1)):
+        roi = seg.select_roi(segment, n, width)
+        assert roi.left_pad or roi.right_pad
+        yield "edge_roi", seg.roi_window(roi, session)
+
+
 def _oracle_windows():
     """(name, W x 6 window): random, constant, all-zero, zero-padded edge
-    ROIs and exact-zero spectral bins, at every width of the contract."""
+    ROIs and exact-zero spectral bins, at every width of the contract; then
+    the same at more odd and even widths around the median and quartile
+    indexes, and windows rounded to 0.1, so with ties and signed zeros.
+    New windows go last, so each earlier one keeps its test id."""
     for width in (4, 5, 64, 300, 301):
-        rng = np.random.default_rng(width)
-        for k in range(4):
-            yield f"random{k}", rng.normal(size=(width, 6)) * rng.uniform(
-                0.01, 100, size=6)
-        constant = rng.normal(size=(width, 6))
-        constant[:, [1, 4]] = [1.0, -3.25]
-        yield "constant_channels", constant
-        yield "all_zero", np.zeros((width, 6))
-        session = rng.normal(size=(width // 2 + 1, 6))
-        n = session.shape[0]
-        for segment in (seg.Segment(0, 1, 1), seg.Segment(n - 1, n, 1)):
-            roi = seg.select_roi(segment, n, width)
-            assert roi.left_pad or roi.right_pad
-            yield "edge_roi", seg.roi_window(roi, session)
+        yield from _width_windows(width)
     for width in (64, 300):
         zero_bins = np.empty((width, 6))
         zero_bins[:, :2] = np.tile([1.0, -1.0], width // 2)[:, None]
         zero_bins[:, 2:] = np.tile([3.0, 1.0, -2.0, 0.5], width // 4)[:, None]
         yield "zero_bins", zero_bins
+    for width in (6, 7, 17, 299):
+        yield from _width_windows(width)
+    for width in (4, 5, 6, 7, 17, 64, 299, 300, 301):
+        rng = np.random.default_rng([width, 1])
+        for k in range(2):
+            yield f"ties{k}", np.round(rng.normal(size=(width, 6)), 1)
 
 
 class TestByteEqualToScalarOracle:

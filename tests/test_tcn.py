@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,10 +11,11 @@ from jumppipe.nncore import DimensionError
 
 
 def small_config(num_stages=2, num_layers=2, num_filters=4, in_channels=3,
-                 num_classes=3, **kw):
+                 num_classes=3, kernel_size=3, **kw):
     return tcn.MsTcnConfig(
         num_stages=num_stages,
         stage=tcn.SsTcnConfig(num_layers=num_layers, num_filters=num_filters,
+                              kernel_size=kernel_size,
                               in_channels=in_channels, num_classes=num_classes),
         **kw,
     )
@@ -223,19 +227,99 @@ class TestPredictBuffers:
             assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_is_a_few_activations(self):
-        # the criterion-7 shape; tracemalloc sees numpy's data buffers. Keeping
-        # every block's activations, as the training forward does, peaks
-        # near 47 activations of (T, 16) float64
-        T = 20_000
-        weights = tcn.build_mstcn(small_config(
-            num_stages=2, num_layers=7, num_filters=16, in_channels=6,
-            num_classes=8))
-        session = dataio.ImuSession(
-            "s", np.random.default_rng(0).normal(size=(T, 6)))
-        tracemalloc.start()
+        # the criterion-7 shape; tracemalloc sees numpy's data buffers. Apart
+        # from the (T, classes) probabilities and the (T,) labels, the peak
+        # is a few activations of one span with its halos on each worker, at
+        # any T (keeping every block's activations of the whole session, as
+        # the training forward does, peaks near 47 activations of (T, 16))
+        config = small_config(num_stages=2, num_layers=7, num_filters=16,
+                              in_channels=6, num_classes=8)
+        weights = tcn.build_mstcn(config)
+        rows = tcn.span_rows(config) + 2 * tcn.halo_rows(config)
+        for T in (20_000, 80_000):
+            session = dataio.ImuSession(
+                "s", np.random.default_rng(0).normal(size=(T, 6)))
+            workers = min(len(os.sched_getaffinity(0)),
+                          -(-T // tcn.span_rows(config)))
+            tracemalloc.start()
+            try:
+                tcn.predict(weights, session)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            spans = (peak - T * (8 + 1) * 8) / (rows * 16 * 8)
+            assert spans < 8 * workers, (T, spans)
+
+
+class TestPredictChunks:
+    """predict cuts a session into spans with halos; every span edge must
+    give the training forward's bytes."""
+
+    @pytest.mark.parametrize("kernel_size", [3, 5])
+    @pytest.mark.parametrize("num_stages", [1, 2, 3])
+    def test_equals_training_forward_at_span_edges(self, num_stages,
+                                                   kernel_size):
+        config = small_config(num_stages=num_stages, num_layers=4,
+                              num_filters=8, in_channels=6, num_classes=5,
+                              kernel_size=kernel_size, seed=num_stages)
+        weights = tcn.build_mstcn(config)
+        H, C = tcn.halo_rows(config), tcn.CHUNK_ROWS
+        assert tcn.span_rows(config) == C
+        rng = np.random.default_rng(kernel_size)
+        for T in (1, H, C - 1, C, C + 1, C + H, 2 * C + 1, 3 * C + 2 * H + 1):
+            x = rng.normal(size=(T, 6))
+            for layout in (x, np.asfortranarray(x)):
+                probs, labels = tcn.predict(weights,
+                                            dataio.ImuSession("s", layout))
+                ref = tcn.mstcn_forward(weights, layout)[0][-1]
+                assert probs.tobytes() == ref.tobytes(), T
+                assert labels.tobytes() == np.argmax(ref, axis=1).tobytes(), T
+
+    def test_halo_is_the_receptive_field_reach(self):
+        # H rows on each side: 3 stages x (k - 1) / 2 x (2^L - 1)
+        config = small_config(num_stages=3, num_layers=4, kernel_size=5)
+        assert tcn.halo_rows(config) == 3 * 2 * 15
+
+    def test_span_is_at_least_eight_halos(self):
+        # a wide receptive field gets longer spans, so that recomputed halo
+        # rows stay a small part of the work; they are exact all the same
+        config = small_config(num_stages=1, num_layers=9, num_filters=4,
+                              in_channels=6)
+        weights = tcn.build_mstcn(config)
+        span = tcn.span_rows(config)
+        assert span == 8 * tcn.halo_rows(config) > tcn.CHUNK_ROWS
+        x = np.random.default_rng(1).normal(size=(span + 1, 6))
+        probs, _ = tcn.predict(weights, dataio.ImuSession("s", x))
+        assert probs.tobytes() == tcn.mstcn_forward(weights, x)[0][-1].tobytes()
+
+    def test_no_thread_outlives_the_call(self):
+        weights = tcn.build_mstcn(small_config(in_channels=6))
+        baseline = threading.active_count()
+        x = np.random.default_rng(2).normal(size=(3 * tcn.CHUNK_ROWS, 6))
+        tcn.predict(weights, dataio.ImuSession("s", x))
+        assert threading.active_count() == baseline
+
+    def test_more_workers_than_cores_stay_exact(self, monkeypatch):
+        # spans write disjoint rows of one output; six threads switching
+        # every microsecond must still give the training forward's bytes
+        monkeypatch.setattr(tcn.os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        weights = tcn.build_mstcn(small_config(in_channels=6))
+        x = np.random.default_rng(3).normal(size=(6 * tcn.CHUNK_ROWS, 6))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            tcn.predict(weights, session)
-            peak = tracemalloc.get_traced_memory()[1]
+            probs, _ = tcn.predict(weights, dataio.ImuSession("s", x))
         finally:
-            tracemalloc.stop()
-        assert peak < 12 * T * 16 * 8, peak / (T * 16 * 8)
+            sys.setswitchinterval(interval)
+        assert probs.tobytes() == tcn.mstcn_forward(weights, x)[0][-1].tobytes()
+
+    def test_span_error_reaches_the_caller(self, monkeypatch):
+        def refuse(*args):
+            raise FloatingPointError("span failed")
+
+        monkeypatch.setattr(tcn, "_predict_rows", refuse)
+        weights = tcn.build_mstcn(small_config(in_channels=6))
+        x = np.zeros((2 * tcn.CHUNK_ROWS, 6))
+        with pytest.raises(FloatingPointError, match="span failed"):
+            tcn.predict(weights, dataio.ImuSession("s", x))
