@@ -9,6 +9,7 @@ next to its outputs. Logs go to stderr, data to files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import os
@@ -51,10 +52,41 @@ def _load_sessions(data_dir):
 
 
 def _load_dataset(data_dir):
-    """Sessions and height records of a data directory. The sessions are read
-    first, so a malformed session is reported even if `heights.csv` is bad."""
+    """Sessions, height records and heights path of a data directory. The
+    sessions are read first, so a malformed session is reported even if
+    `heights.csv` is bad."""
     sessions = _load_sessions(data_dir)
-    return sessions, dataio.read_heights(os.path.join(data_dir, "heights.csv"))
+    path = os.path.join(data_dir, "heights.csv")
+    return sessions, dataio.read_heights(path), path
+
+
+@contextlib.contextmanager
+def _blame(where, error):
+    """Re-raise an `error` of the block as a ValueError that begins with
+    `where`, the input files it is about."""
+    try:
+        yield
+    except error as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def _load_model(path, expect):
+    """The checkpoint at `path` if it fits the commands' inputs: an MS-TCN
+    from the 6 IMU channels to the 8 classes, or a regressor of the feature
+    catalog. `tcn` and `regression` themselves take any shape."""
+    model = dataio.load_checkpoint(path, expect)
+    if expect == "mstcn":
+        stage = model.config.stage
+        have = (stage.in_channels, stage.num_classes)
+        need = (len(features.CHANNEL_NAMES), seg.DEFAULT_VOCAB.num_classes)
+        what = "(channels, classes)"
+    else:
+        have, need = model.input_dim, len(features.feature_names())
+        what = "features"
+    if have != need:
+        raise ValueError(f"{path}: the model takes {have} {what}, "
+                         f"not the {need} of jumppipe's data")
+    return model
 
 
 def _tcn_config(args) -> tcn.MsTcnConfig:
@@ -100,7 +132,7 @@ def _cmd_train(args, out):
 
 
 def _cmd_predict(args, out):
-    weights = dataio.load_checkpoint(args.model, expect="mstcn")
+    weights = _load_model(args.model, "mstcn")
     session = dataio.read_session_csv(args.session)
     _, labels = tcn.predict(weights, session)
     segments = seg.min_duration_filter(
@@ -121,8 +153,9 @@ def _cmd_eval_seg(args, out):
 
 
 def _cmd_extract_features(args, out):
-    sessions, heights = _load_dataset(args.data)
-    X, y = evaluation.feature_table(sessions, heights, args.width)
+    sessions, heights, heights_path = _load_dataset(args.data)
+    with _blame(heights_path, evaluation.MissingHeightError):
+        X, y = evaluation.feature_table(sessions, heights, args.width)
     dataio.write_feature_csv(X, y, out("features.csv"))
     return {"width": args.width}, f"{X.shape[0]} feature rows"
 
@@ -141,23 +174,26 @@ def _cmd_fit_reg(args, out):
 
 
 def _cmd_eval_reg(args, out):
-    model = dataio.load_checkpoint(args.model, expect="regressor")
+    model = _load_model(args.model, "regressor")
     X, y = dataio.read_feature_csv(args.features)
-    metrics = evaluation.reg_metrics(y, regression.predict(model, X))
+    # too few or constant heights, or constant predictions
+    with _blame(f"{args.model} on {args.features}", ValueError):
+        metrics = evaluation.reg_metrics(y, regression.predict(model, X))
     _write_json(out("reg_metrics.json"), asdict(metrics))
     return {}, f"R2 = {metrics.r2:.4f}, RMSE = {metrics.rmse:.4f} m"
 
 
 def _cmd_pipeline(args, out):
-    sessions, heights = _load_dataset(args.data)
-    report = evaluation.run_pipeline_eval(
-        sessions, heights, _tcn_config(args),
-        regressor_kind=args.regressor,
-        width=args.width,
-        threshold=args.threshold,
-        min_duration=args.min_duration,
-        progress=_log,
-    )
+    sessions, heights, heights_path = _load_dataset(args.data)
+    with _blame(heights_path, evaluation.MissingHeightError):
+        report = evaluation.run_pipeline_eval(
+            sessions, heights, _tcn_config(args),
+            regressor_kind=args.regressor,
+            width=args.width,
+            threshold=args.threshold,
+            min_duration=args.min_duration,
+            progress=_log,
+        )
     _write_json(out("report.json"), evaluation.report_to_dict(report))
     dataio.write_csv(out("bland_altman.csv"), ["mean_m", "diff_m"],
                      report.bland_altman_points)
@@ -169,11 +205,12 @@ def _cmd_pipeline(args, out):
 
 
 def _cmd_importance(args, out):
-    model = dataio.load_checkpoint(args.model, expect="regressor")
+    model = _load_model(args.model, "regressor")
     X, y = dataio.read_feature_csv(args.features)
-    ranked = regression.permutation_importance(model, X, y,
-                                               repeats=args.repeats,
-                                               seed=args.seed)
+    with _blame(args.features, ValueError):  # constant heights
+        ranked = regression.permutation_importance(model, X, y,
+                                                   repeats=args.repeats,
+                                                   seed=args.seed)
     names = features.feature_names()
     dataio.write_csv(out("importance.csv"), ["feature", "importance"],
                      ((names[j], v) for j, v in ranked))
@@ -191,7 +228,8 @@ def _run(args) -> int:
         return outputs[-1]
 
     func, _, inputs, _ = COMMANDS[args.command]
-    for flag, least in (("width", 4), ("min_duration", 0)):  # 4 for kurtosis
+    for flag, least in (("width", 4), ("min_duration", 0),  # 4 for kurtosis
+                        ("repeats", 1)):
         if getattr(args, flag, least) < least:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
     config, message = func(args, out)
@@ -286,15 +324,14 @@ def _merge_config_file(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     extra = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: bad config line {raw.strip()!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            extra.extend([f"--{key.replace('_', '-')}", value])
+    for raw in dataio.read_text(path).split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: bad config line {raw.strip()!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        extra.extend([f"--{key.replace('_', '-')}", value])
     return [argv[0], *extra, *argv[1:]]
 
 

@@ -79,6 +79,24 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """The text of an input file as UTF-8, with "\r\n" and "\r" read as
+    "\n" as text mode reads them; a byte that is not UTF-8 raises a
+    ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8").replace("\r\n", "\n")
+        line = head.replace("\r", "\n").count("\n") + 1
+        raise ParseError(path, line, f"byte 0x{data[e.start]:02x} is not "
+                                     f"UTF-8 text") from None
+    if "\r" in text:  # scanning for "\r\n" costs 60x more
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 # ------------------------------------------------------------------- CSV
 
 def read_csv(path, *headers):
@@ -88,8 +106,7 @@ def read_csv(path, *headers):
     line after it. A header that is none of `headers`, or a row whose cell
     count differs from its header's, raises a ParseError at its line.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     header = lines[0].split(",") if lines else []
     if header not in headers:
         expect = " or ".join(repr(",".join(h)) for h in headers)
@@ -179,8 +196,7 @@ def _read_session_fast(path):
     """(table, labels) of a session CSV that numpy's reader parses whole and
     that passes every check of `_read_session_lines`, else None. Its floats
     are float()'s: both parse with the same C routine."""
-    with open(path) as fh:  # text mode turns "\r\n" and "\r" into "\n"
-        text = fh.read()
+    text = read_text(path)
     head, _, body = text.partition("\n")
     labelled = head == ",".join(SESSION_HEADER + ["label"])
     # with no line break but "\n" (none other that splitlines() knows),
@@ -258,15 +274,21 @@ def _segment(path, ln, start, end, label) -> Segment:
     return Segment(start, end, cid)
 
 
-def read_annotations(path) -> list[Segment]:
-    _, rows = read_csv(path, ANNOTATIONS_HEADER)
-    found = [(_segment(path, ln, *cells), ln) for ln, cells in rows]
+def _refuse_overlaps(path, found) -> None:
+    """Raise a ParseError if two segments of one owner overlap; `found`
+    holds an (owner, segment, line number) triple per row."""
     ordered = sorted(found)
-    for (a, la), (b, lb) in zip(ordered, ordered[1:]):
-        if b.start < a.end:
+    for (oa, a, la), (ob, b, lb) in zip(ordered, ordered[1:]):
+        if oa == ob and b.start < a.end:
             raise ParseError(path, max(la, lb), f"overlapping segments {a} "
                              f"and {b} (lines {la} and {lb})")
-    return [s for s, _ in found]
+
+
+def read_annotations(path) -> list[Segment]:
+    _, rows = read_csv(path, ANNOTATIONS_HEADER)
+    found = [("", _segment(path, ln, *cells), ln) for ln, cells in rows]
+    _refuse_overlaps(path, found)
+    return [s for _, s, _ in found]
 
 
 def write_annotations(segments, path) -> None:
@@ -295,6 +317,7 @@ def read_heights(path) -> list[HeightRecord]:
                              f"{segment}, first given at line {first_line[key]}")
         first_line[key] = ln
         records.append(HeightRecord(subject, segment, height))
+    _refuse_overlaps(path, [(*key, ln) for key, ln in first_line.items()])
     return records
 
 
@@ -334,11 +357,10 @@ def save_checkpoint(model, path) -> None:
     atomic_write_text(path, json.dumps(doc))
 
 
-def load_checkpoint(path, expect: str | None = None):
-    """Load a checkpoint; `expect` is 'mstcn' or 'regressor' to enforce kind."""
+def load_checkpoint(path, expect: str):
+    """Load a checkpoint of the kind `expect`: 'mstcn' or 'regressor'."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: corrupt or truncated checkpoint: {e}") from None
     if not isinstance(doc, dict) or doc.get("magic") != CHECKPOINT_MAGIC:

@@ -196,11 +196,15 @@ def _height_lookup(height_records) -> dict:
             r.height_m for r in height_records}
 
 
+class MissingHeightError(ValueError):
+    """A height-eligible segment that the height records do not cover."""
+
+
 def _height_of(heights, subject_id, segment) -> float:
     key = (subject_id, segment.start, segment.end, segment.class_id)
     if key not in heights:
-        raise ValueError(f"missing height for segment {key[1:]} of subject "
-                         f"{subject_id!r}")
+        raise MissingHeightError(f"missing height for segment {key[1:]} of "
+                                 f"subject {subject_id!r}")
     return heights[key]
 
 

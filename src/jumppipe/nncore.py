@@ -188,26 +188,22 @@ def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     return probs * (grad_probs - dot)
 
 
-def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    probs = as_tensor2(probs)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != probs.shape[0]:
-        raise DimensionError("labels length must equal number of probability rows")
-    picked = probs[np.arange(probs.shape[0]), labels]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-
-
-def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """dLoss/dprobs for cross_entropy_loss."""
+def cross_entropy_loss(probs: np.ndarray,
+                       labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-probability of each row's label, and its gradient
+    with respect to `probs`; a probability clamped to PROB_FLOOR has zero
+    gradient."""
     probs = as_tensor2(probs)
     labels = np.asarray(labels, dtype=np.int64)
     T = probs.shape[0]
-    g = np.zeros_like(probs)
+    if labels.shape[0] != T:
+        raise DimensionError("labels length must equal number of probability rows")
     rows = np.arange(T)
     picked = probs[rows, labels]
-    live = picked > PROB_FLOOR  # clamped entries have zero gradient
+    g = np.zeros_like(probs)
+    live = picked > PROB_FLOOR
     g[rows[live], labels[live]] = -1.0 / (picked[live] * T)
-    return g
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean()), g
 
 
 @dataclass
@@ -224,34 +220,25 @@ class LossConfig:
             raise ValueError("tau must be > 0")
 
 
-def tmse_loss(probs: np.ndarray, config: LossConfig) -> float:
-    """Truncated MSE on adjacent-timestep log-probability differences."""
-    probs = as_tensor2(probs)
-    T, J = probs.shape
-    if T < 2:
-        return 0.0
-    logp = np.log(np.maximum(probs, PROB_FLOOR))
-    delta = np.minimum(np.abs(logp[1:] - logp[:-1]), config.tau)
-    return float((delta**2).sum() / ((T - 1) * J))
-
-
-def tmse_grad(probs: np.ndarray, config: LossConfig) -> np.ndarray:
+def tmse_loss(probs: np.ndarray,
+              config: LossConfig) -> tuple[float, np.ndarray]:
+    """Truncated MSE on adjacent-timestep log-probability differences, and
+    its gradient with respect to `probs`; a truncated difference or a
+    clamped probability has zero gradient."""
     probs = as_tensor2(probs)
     T, J = probs.shape
     g = np.zeros_like(probs)
     if T < 2:
-        return g
+        return 0.0, g
     clamped = np.maximum(probs, PROB_FLOOR)
     logp = np.log(clamped)
     diff = logp[1:] - logp[:-1]
-    inside = np.abs(diff) < config.tau  # truncated region has zero gradient
-    gdiff = np.where(inside, 2.0 * diff, 0.0) / ((T - 1) * J)
-    glogp = np.zeros_like(probs)
-    glogp[1:] += gdiff
-    glogp[:-1] -= gdiff
-    # d log(max(p, floor))/dp = 1/p where p above floor, else 0
-    g = np.where(probs > PROB_FLOOR, glogp / clamped, 0.0)
-    return g
+    size = np.abs(diff)
+    value = float((np.minimum(size, config.tau)**2).sum() / ((T - 1) * J))
+    gdiff = np.where(size < config.tau, 2.0 * diff, 0.0) / ((T - 1) * J)
+    g[1:] += gdiff
+    g[:-1] -= gdiff
+    return value, np.where(probs > PROB_FLOOR, g / clamped, 0.0)
 
 
 @dataclass
@@ -259,7 +246,7 @@ class AdamState:
     """Bias-corrected Adam over a list of parameter arrays; the moments are
     flat vectors over the parameters joined in list order."""
 
-    lr: float = 5e-4
+    lr: float
     step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None

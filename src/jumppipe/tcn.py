@@ -36,10 +36,7 @@ class SsTcnConfig:
                 raise ValueError(f"{name} must be >= 1")
 
     def receptive_field(self) -> int:
-        rf = 1
-        for layer in range(self.num_layers):
-            rf += (self.kernel_size - 1) * 2**layer
-        return rf
+        return 1 + (self.kernel_size - 1) * (2**self.num_layers - 1)
 
 
 @dataclass
@@ -205,24 +202,25 @@ def mstcn_forward(weights: ModelWeights, x: np.ndarray):
 
 def _loss_and_grads(weights: ModelWeights, x: np.ndarray, labels: np.ndarray):
     """Total loss over all stages and gradients for every parameter."""
-    cfg = weights.config
+    cfg = weights.config.loss
     probs_list, caches = mstcn_forward(weights, x)
-    total = 0.0
+    total, gprobs_list = 0.0, []
     for probs in probs_list:
-        total += nncore.cross_entropy_loss(probs, labels)
-        total += cfg.loss.lambda_tmse * nncore.tmse_loss(probs, cfg.loss)
+        ce, gprobs = nncore.cross_entropy_loss(probs, labels)
+        tmse, gtmse = nncore.tmse_loss(probs, cfg)
+        total += ce
+        total += cfg.lambda_tmse * tmse
+        gprobs += cfg.lambda_tmse * gtmse
+        gprobs_list.append(gprobs)
 
     grads = []  # each stage's gradients are prepended, last stage first
     g_input_next = None  # grad w.r.t. the probs feeding the next stage
-    for s in range(cfg.num_stages - 1, -1, -1):
-        probs = probs_list[s]
-        gprobs = nncore.cross_entropy_grad(probs, labels)
-        gprobs += cfg.loss.lambda_tmse * nncore.tmse_grad(probs, cfg.loss)
+    for stage, cache, probs, gprobs in reversed(list(zip(
+            weights.stages, caches, probs_list, gprobs_list))):
         if g_input_next is not None:
-            gprobs = gprobs + g_input_next
+            gprobs += g_input_next
         glogits = nncore.softmax_backward(probs, gprobs)
-        stage_grads, g_input_next = sstcn_backward(weights.stages[s],
-                                                   caches[s], glogits)
+        stage_grads, g_input_next = sstcn_backward(stage, cache, glogits)
         grads[:0] = stage_grads
     return total, grads, probs_list
 
@@ -239,17 +237,14 @@ def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:
     for sess in sessions:
         if sess.labels is None:
             raise ValueError(f"session {sess.subject_id!r} has no labels")
-        if len(sess.labels) != sess.samples.shape[0]:
-            raise ValueError(f"session {sess.subject_id!r} labels length mismatch")
     weights = build_mstcn(config)
     opt = AdamState(lr=config.lr)
     history = []
     for _ in range(config.epochs):
         epoch_loss = 0.0
         for sess in sessions:
-            loss, grads, _ = _loss_and_grads(
-                weights, sess.samples, np.asarray(sess.labels, dtype=np.int64)
-            )
+            loss, grads, _ = _loss_and_grads(weights, sess.samples,
+                                             sess.labels)
             if not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss")
             nncore.adam_step(weights.params(), grads, opt)

@@ -258,6 +258,39 @@ class TestErrors:
         assert "repeats must be >= 1" in self._one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["extract-features", "pipeline"])
+    def test_missing_height_names_heights_file(self, small_dataset, tmp_path,
+                                               capsys, monkeypatch, command):
+        monkeypatch.setattr(tcn, "train", _refuse_training)
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("S00.csv", "S01.csv"):
+            (data / name).write_bytes((small_dataset / name).read_bytes())
+        rows = (small_dataset / "heights.csv").read_text().splitlines()
+        (data / "heights.csv").write_text("\n".join(rows[:-1]) + "\n")
+        rc = cli_dispatch([command, "--data", str(data), *(
+            TINY_TCN if command == "pipeline" else []),
+            "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        line = self._one_error_line(capsys)
+        assert line.startswith(f"error: {data / 'heights.csv'}: missing "
+                               f"height for segment"), line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval-reg", "importance"])
+    def test_one_row_feature_file_named(self, tmp_path, capsys, command):
+        X = np.random.default_rng(0).normal(size=(20, 145))
+        model = regression.fit("rf", X, X[:, 0], regression.RfConfig(
+            n_estimators=2))
+        dataio.save_checkpoint(model, tmp_path / "r.ckpt")
+        dataio.write_feature_csv(X[:1], [0.3], tmp_path / "f.csv")
+        rc = cli_dispatch([command, "--model", str(tmp_path / "r.ckpt"),
+                           "--features", str(tmp_path / "f.csv"),
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert f"{tmp_path / 'f.csv'}: " in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         rc = cli_dispatch(["eval-reg", "--model", str(tmp_path / "no.ckpt"),
                            "--features", str(tmp_path / "no.csv"),

@@ -423,7 +423,7 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError,
                            match=rf"missing\.ckpt: .*missing field '{field}'"):
-            load_checkpoint(path)
+            load_checkpoint(path, "mstcn" if kind == "mstcn" else "regressor")
 
     @pytest.mark.parametrize("kind, field, value, message", [
         ("rf", "catalog_version", 99, "catalog version 99.*version 1"),
@@ -438,7 +438,7 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
-            load_checkpoint(path)
+            load_checkpoint(path, "regressor")
 
     @pytest.mark.parametrize("keys, value, message", [
         (("trees", 0, "left", 0), 0, r"trees\[0\]\.left\[0\] is 0"),
@@ -460,7 +460,7 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"bad\.ckpt: .*{message}"):
-            load_checkpoint(path)
+            load_checkpoint(path, "regressor")
 
     @pytest.mark.parametrize("kind, keys, value, field", [
         ("mstcn", ("params",), 5, "params"),
@@ -493,26 +493,26 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError,
                            match=rf"bad\.ckpt: field '{re.escape(field)}'"):
-            load_checkpoint(path)
+            load_checkpoint(path, "mstcn" if kind == "mstcn" else "regressor")
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text(json.dumps({"magic": "NOPE", "format_version": 1}))
         with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)
+            load_checkpoint(path, "regressor")
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "trunc.ckpt"
         path.write_text('{"magic": "JUMPPIPE-CKPT", "format')
         with pytest.raises(ValueError, match="truncated|corrupt"):
-            load_checkpoint(path)
+            load_checkpoint(path, "regressor")
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.ckpt"
         path.write_text(json.dumps({"magic": dataio.CHECKPOINT_MAGIC,
                                     "format_version": 99, "kind": "rf"}))
         with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+            load_checkpoint(path, "regressor")
 
     def test_kind_tag_enforced(self, tmp_path):
         config = tcn.MsTcnConfig(

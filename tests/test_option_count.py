@@ -20,7 +20,6 @@ EXPECTED_OPTIONS = [
     "dataio:SyntheticConfig.num_subjects",
     "dataio:SyntheticConfig.seed",
     "dataio:SyntheticConfig.session_duration_s",
-    "dataio:load_checkpoint.expect",
     "evaluation:precision_recall_f1.vocab",
     "evaluation:run_pipeline_eval.min_duration",
     "evaluation:run_pipeline_eval.progress",
@@ -29,7 +28,6 @@ EXPECTED_OPTIONS = [
     "evaluation:run_pipeline_eval.width",
     "features:extract_feature_vector.vocab",
     "nncore:AdamState.first_moment",
-    "nncore:AdamState.lr",
     "nncore:AdamState.second_moment",
     "nncore:AdamState.step",
     "nncore:ConvKernel.dilation",

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from jumppipe import regression as reg
 from jumppipe.nncore import DimensionError
-from jumppipe.regression import (GbtConfig, MlpRegConfig, RfConfig, fit_gbt,
-                                 fit_mlp_regressor, fit_rf, fit_tree,
-                                 permutation_importance, predict_gbt,
-                                 predict_mlp, predict_rf, predict_tree)
+from jumppipe.regression import (GbtConfig, MlpRegConfig, RfConfig,
+                                 _predict_trees, fit_gbt, fit_mlp_regressor,
+                                 fit_rf, fit_tree, permutation_importance,
+                                 predict_gbt, predict_mlp, predict_rf)
 
 
 def brute_force_root_split(X, y):
@@ -119,7 +119,7 @@ class TestTree:
         assert tree.feature[0] >= 0
         children = [tree.left[0], tree.right[0]]
         assert tree.feature[children].tolist() == [-1, -1]
-        np.testing.assert_allclose(predict_tree(tree, X), y)
+        np.testing.assert_allclose(_predict_trees([tree], X)[0], y)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_root_split_matches_exhaustive_search(self, seed):
@@ -143,7 +143,8 @@ class TestTree:
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         tree = fit_tree(X, y)
-        np.testing.assert_allclose(predict_tree(tree, X), y, atol=1e-12)
+        np.testing.assert_allclose(_predict_trees([tree], X)[0], y,
+                                   atol=1e-12)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -209,7 +210,7 @@ class TestTree:
         # Rows on the thresholds themselves exercise the `<=` boundary.
         query = np.vstack([X, X + 0.5, np.repeat(tree.threshold[:, None], p, 1)])
         expected = np.array([scalar_walk(tree, row) for row in query])
-        assert predict_tree(tree, query).tobytes() == expected.tobytes()
+        assert _predict_trees([tree], query)[0].tobytes() == expected.tobytes()
 
 
 def linear_fixture(seed=0, n=200, p=5, noise=0.1):
@@ -248,7 +249,8 @@ class TestRandomForest:
     def test_prediction_within_tree_range(self):
         X, y = linear_fixture(seed=2)
         model = fit_rf(X, y, RfConfig(n_estimators=10, seed=0))
-        per_tree = np.array([predict_tree(t, X) for t in model.payload["trees"]])
+        per_tree = np.array([_predict_trees([t], X)[0]
+                             for t in model.payload["trees"]])
         pred = predict_rf(model, X)
         assert np.all(pred >= per_tree.min(axis=0) - 1e-12)
         assert np.all(pred <= per_tree.max(axis=0) + 1e-12)
@@ -273,7 +275,7 @@ class TestGradientBoosting:
         boosted = fit_gbt(X, y, GbtConfig(eta=1.0, n_estimators=1, max_depth=6))
         single = fit_tree(X, y - y.mean(), max_depth=6)
         np.testing.assert_allclose(
-            predict_gbt(boosted, X), y.mean() + predict_tree(single, X)
+            predict_gbt(boosted, X), y.mean() + _predict_trees([single], X)[0]
         )
 
     def test_beats_mean_predictor(self):
