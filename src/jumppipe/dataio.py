@@ -25,6 +25,7 @@ ANNOTATIONS_HEADER = "start_sample,end_sample,label".split(",")
 HEIGHTS_HEADER = "subject_id,start_sample,end_sample,label,height_m".split(",")
 CHECKPOINT_MAGIC = "JUMPPIPE-CKPT"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER = ("magic", "format_version", "kind")
 
 
 class ParseError(ValueError):
@@ -297,6 +298,13 @@ def write_annotations(segments, path) -> None:
                for s in segments))
 
 
+def _check_height(path, ln, height: float) -> None:
+    """A ParseError at line `ln` unless `height` is positive and finite."""
+    if not 0 < height < math.inf:  # also rejects nan
+        raise ParseError(path, ln,
+                         f"height must be positive and finite, got {height}")
+
+
 def read_heights(path) -> list[HeightRecord]:
     _, rows = read_csv(path, HEIGHTS_HEADER)
     records, first_line = [], {}
@@ -306,9 +314,7 @@ def read_heights(path) -> list[HeightRecord]:
             height = float(_plain(height))
         except ValueError:
             raise ParseError(path, ln, "non-numeric cell") from None
-        if not 0 < height < math.inf:  # also rejects nan
-            raise ParseError(path, ln,
-                             f"height must be positive and finite, got {height}")
+        _check_height(path, ln, height)
         if not DEFAULT_VOCAB.is_jump(segment.class_id):
             raise ParseError(path, ln, f"class {label!r} is not height-eligible")
         key = (subject, segment)
@@ -334,6 +340,8 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix X and height targets y of a `features.csv`."""
     header, rows = read_csv(path, feature_names() + ["height_m"])
     table = _float_table(path, rows, len(header))
+    for (ln, _), height in zip(rows, table[:, -1].tolist()):
+        _check_height(path, ln, height)
     return table[:, :-1], table[:, -1]
 
 
@@ -376,10 +384,11 @@ def load_checkpoint(path, expect: str):
         raise ValueError(f"{path}: expected an MS-TCN checkpoint, found {kind!r}")
     if expect == "regressor" and kind == "mstcn":
         raise ValueError(f"{path}: expected a regressor checkpoint, found {kind!r}")
+    body = {k: v for k, v in doc.items() if k not in CHECKPOINT_HEADER}
     try:
         if kind == "mstcn":
-            return tcn.weights_from_doc(doc)
-        return regression.from_doc(kind, doc)
+            return tcn.weights_from_doc(body)
+        return regression.from_doc(kind, body)
     except KeyError as e:
         raise ValueError(f"{path}: {kind} checkpoint is missing field "
                          f"{e.args[0]!r}") from None

@@ -17,6 +17,10 @@ PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# Weight and truncation threshold of the temporal smoothing loss, as MS-TCN
+# publishes them (Farha & Gall, CVPR 2019).
+LAMBDA_TMSE = 0.15
+TMSE_TAU = 4.0
 
 
 class DimensionError(ValueError):
@@ -70,28 +74,59 @@ def array_to_doc(a: np.ndarray) -> dict:
 
 
 def array_from_doc(doc, name: str) -> np.ndarray:
-    """The array of an `array_to_doc` document; a malformed one raises a
-    ValueError naming the field `name` it was read from."""
-    shape = doc.get("shape") if isinstance(doc, dict) else None
-    data = doc.get("data") if isinstance(doc, dict) else None
+    """The array of an `array_to_doc` document; a malformed one, or one that
+    holds a number that is not finite, raises an error naming the field
+    `name` it was read from."""
+    doc_keys(doc, name, ("shape", "data"))
+    shape, data = doc["shape"], doc["data"]
     if not (isinstance(shape, list) and isinstance(data, list)
             and all(type(d) is int and d >= 0 for d in shape)
             and all(type(v) in (int, float) for v in data)
             and len(data) == math.prod(shape)):
         raise ValueError(f"field {name!r} must be an array: a 'shape' list "
                          f"of dims and a 'data' list of that many numbers")
-    return np.array(data, dtype=np.float64).reshape(shape)
+    return finite_field(np.array(data, dtype=np.float64).reshape(shape), name)
 
 
-def doc_field(doc: dict, key: str, *types):
-    """`doc[key]` if its JSON type is one of `types`, else a ValueError that
-    names the field; a missing key raises KeyError(key)."""
-    value = doc[key]
+def finite_field(values, name: str):
+    """`values`, a float or an array, if every number in it is finite; else
+    a ValueError that names the field `name` it was read from."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.ravel(values)[~np.ravel(finite)][0]
+        raise ValueError(f"field {name!r} holds {bad}, not a finite number")
+    return values
+
+
+def doc_keys(doc, name: str, keys) -> dict:
+    """`doc` if it is a dict with exactly the keys `keys` that the writer
+    writes at field `name` ("" for the checkpoint body); else a ValueError
+    that names the field or a key it does not write, or a KeyError that
+    names a missing key by its path."""
+    if type(doc) is not dict:
+        raise ValueError(f"field {name!r} must be dict, "
+                         f"not {type(doc).__name__}")
+    expected = set(keys)
+    if doc.keys() != expected:
+        path = f"{name}." if name else ""
+        for key in keys:
+            if key not in doc:
+                raise KeyError(path + key)
+        unknown = next(key for key in doc if key not in expected)
+        raise ValueError(f"unknown field {path + unknown!r}")
+    return doc
+
+
+def doc_field(doc: dict, name: str, *types):
+    """The value of the field `name`, whose last dotted part is its key in
+    `doc`, if its JSON type is one of `types` and a float is finite; else a
+    ValueError that names the field."""
+    value = doc[name.rpartition(".")[2]]
     if type(value) not in types:  # so a bool is no int
         expected = " or ".join(sorted({t.__name__ for t in types}))
-        raise ValueError(f"field {key!r} must be {expected}, "
+        raise ValueError(f"field {name!r} must be {expected}, "
                          f"not {type(value).__name__}")
-    return value
+    return finite_field(value, name) if type(value) is float else value
 
 
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:
@@ -206,25 +241,10 @@ def cross_entropy_loss(probs: np.ndarray,
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean()), g
 
 
-@dataclass
-class LossConfig:
-    """Weight and truncation threshold of the temporal smoothing loss."""
-
-    lambda_tmse: float = 0.15
-    tau: float = 4.0
-
-    def __post_init__(self):
-        if self.lambda_tmse < 0:
-            raise ValueError("lambda_tmse must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-
-
-def tmse_loss(probs: np.ndarray,
-              config: LossConfig) -> tuple[float, np.ndarray]:
+def tmse_loss(probs: np.ndarray) -> tuple[float, np.ndarray]:
     """Truncated MSE on adjacent-timestep log-probability differences, and
-    its gradient with respect to `probs`; a truncated difference or a
-    clamped probability has zero gradient."""
+    its gradient with respect to `probs`; a difference truncated at TMSE_TAU
+    or a clamped probability has zero gradient."""
     probs = as_tensor2(probs)
     T, J = probs.shape
     g = np.zeros_like(probs)
@@ -234,8 +254,8 @@ def tmse_loss(probs: np.ndarray,
     logp = np.log(clamped)
     diff = logp[1:] - logp[:-1]
     size = np.abs(diff)
-    value = float((np.minimum(size, config.tau)**2).sum() / ((T - 1) * J))
-    gdiff = np.where(size < config.tau, 2.0 * diff, 0.0) / ((T - 1) * J)
+    value = float((np.minimum(size, TMSE_TAU)**2).sum() / ((T - 1) * J))
+    gdiff = np.where(size < TMSE_TAU, 2.0 * diff, 0.0) / ((T - 1) * J)
     g[1:] += gdiff
     g[:-1] -= gdiff
     return value, np.where(probs > PROB_FLOOR, g / clamped, 0.0)

@@ -23,16 +23,19 @@ from .features import CATALOG_VERSION
 from .nncore import AdamState, DimensionError
 
 
+RF_MAX_DEPTH = 10  # the shape of each forest tree
+RF_MAX_LEAF_NODES = 15
+MLP_LR = 1e-3  # the MLP's Adam step size
+
+
 @dataclass
 class RfConfig:
     n_estimators: int = 50
-    max_depth: int = 10
-    max_leaf_nodes: int = 15
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1 or self.max_depth < 1:
-            raise ValueError("n_estimators and max_depth must be >= 1")
+        if self.n_estimators < 1:
+            raise ValueError("n_estimators must be >= 1")
 
 
 def _check_eta(eta) -> None:
@@ -54,7 +57,6 @@ class GbtConfig:
 class MlpRegConfig:
     hidden_layers: tuple = (100,)
     max_iter: int = 8000
-    lr: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -249,8 +251,8 @@ def fit_rf(X, y, config: RfConfig) -> TrainedRegressor:
         trees.append(
             fit_tree(
                 X[idx], y[idx],
-                max_depth=config.max_depth,
-                max_leaf_nodes=config.max_leaf_nodes,
+                max_depth=RF_MAX_DEPTH,
+                max_leaf_nodes=RF_MAX_LEAF_NODES,
                 features_per_split=fps,
                 rng=tree_rng,
             )
@@ -343,7 +345,7 @@ def fit_mlp_regressor(X, y, config: MlpRegConfig) -> TrainedRegressor:
     dims = [X.shape[1], *config.hidden_layers, 1]
     layers = [_init_dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     params = [p for layer in layers for p in layer]
-    opt = AdamState(lr=config.lr)
+    opt = AdamState(lr=MLP_LR)
     n = X.shape[0]
     yy = y.reshape(-1, 1)
     for _ in range(config.max_iter):
@@ -387,9 +389,7 @@ _TREE_FIELDS = {"feature": (int,), "threshold": (int, float),
 def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
     """Per-node arrays from a checkpoint, checked so that every walk from the
     root ends at a leaf."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"field {where!r} must be dict, "
-                         f"not {type(doc).__name__}")
+    nncore.doc_keys(doc, where, _TREE_FIELDS)
     n = len(doc["feature"]) if isinstance(doc["feature"], list) else 0
     for name, types in _TREE_FIELDS.items():
         col = doc[name]
@@ -399,6 +399,8 @@ def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
                              f"{n or 'one or more'} {types[-1].__name__}s")
     tree = Tree(*(np.array(doc[name], dtype=types[-1])
                   for name, types in _TREE_FIELDS.items()))
+    for name in ("threshold", "value"):
+        nncore.finite_field(getattr(tree, name), f"{where}.{name}")
     if tree.feature.min() < -1 or tree.feature.max() >= input_dim:
         raise ValueError(f"{where}.feature must lie in [-1, {input_dim})")
     inner = np.flatnonzero(tree.feature >= 0)
@@ -434,7 +436,18 @@ def to_doc(model: TrainedRegressor) -> dict:
     return doc
 
 
-def from_doc(kind: str, doc: dict) -> TrainedRegressor:
+# The keys of each kind's checkpoint body, as `to_doc` writes them.
+_DOC_KEYS = {"rf": ("input_dim", "catalog_version", "trees"),
+             "gbt": ("input_dim", "catalog_version", "base", "eta", "trees"),
+             "mlp": ("input_dim", "catalog_version", "mu", "sigma", "layers")}
+
+
+def from_doc(kind, doc: dict) -> TrainedRegressor:
+    """The regressor of a checkpoint body; any key that `to_doc` does not
+    write, at any level, is refused."""
+    if type(kind) is not str or kind not in _DOC_KEYS:
+        raise ValueError(f"unknown regressor kind {kind!r}")
+    nncore.doc_keys(doc, "", _DOC_KEYS[kind])
     version = nncore.doc_field(doc, "catalog_version", int)
     if version != CATALOG_VERSION:
         raise ValueError(
@@ -453,7 +466,7 @@ def from_doc(kind: str, doc: dict) -> TrainedRegressor:
             _check_eta(eta)
             payload.update(base=float(nncore.doc_field(doc, "base", int, float)),
                            eta=eta)
-    elif kind == "mlp":
+    else:
         payload = {k: nncore.array_from_doc(doc[k], k) for k in ("mu", "sigma")}
         widths = [payload["mu"].shape, payload["sigma"].shape]
         if widths != [(input_dim,)] * 2:
@@ -461,8 +474,8 @@ def from_doc(kind: str, doc: dict) -> TrainedRegressor:
                              f"sigma have widths {widths}")
         payload["layers"], width = [], input_dim  # width: the next layer's input
         for k, layer in enumerate(nncore.doc_field(doc, "layers", list)):
-            layer = layer if isinstance(layer, dict) else {}
-            w, b = (nncore.array_from_doc(layer.get(p), f"layers[{k}].{p}")
+            nncore.doc_keys(layer, f"layers[{k}]", ("w", "b"))
+            w, b = (nncore.array_from_doc(layer[p], f"layers[{k}].{p}")
                     for p in "wb")
             if w.ndim != 3 or w.shape[:2] != (1, width) or b.shape != w.shape[2:]:
                 raise ValueError(f"field 'layers[{k}]' has shapes w {w.shape} "
@@ -472,8 +485,6 @@ def from_doc(kind: str, doc: dict) -> TrainedRegressor:
             width = w.shape[2]
         if not payload["layers"] or width != 1:
             raise ValueError("field 'layers' must end in one output")
-    else:
-        raise ValueError(f"unknown regressor kind {kind!r}")
     return TrainedRegressor(kind, payload, input_dim)
 
 

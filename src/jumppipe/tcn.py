@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import nncore
-from .nncore import AdamState, ConvKernel, DimensionError, LossConfig
+from .nncore import AdamState, ConvKernel, DimensionError
 from .segmentation import DEFAULT_VOCAB
 
 
@@ -43,7 +43,6 @@ class SsTcnConfig:
 class MsTcnConfig:
     num_stages: int = 4
     stage: SsTcnConfig = field(default_factory=SsTcnConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
     epochs: int = 50
     lr: float = 5e-4
     seed: int = 0
@@ -84,20 +83,22 @@ class ModelWeights:
 def config_to_doc(config: MsTcnConfig) -> dict:
     """Flat JSON-ready form of a config: the checkpoint body and run echoes."""
     return {"num_stages": config.num_stages, **asdict(config.stage),
-            **asdict(config.loss), "epochs": config.epochs, "lr": config.lr,
-            "seed": config.seed}
+            "lambda_tmse": nncore.LAMBDA_TMSE, "tau": nncore.TMSE_TAU,
+            "epochs": config.epochs, "lr": config.lr, "seed": config.seed}
 
 
-def config_from_doc(doc: dict) -> MsTcnConfig:
+def config_from_doc(doc) -> MsTcnConfig:
     # each field has the type of its default; an int passes for a float
-    for key, default in config_to_doc(MsTcnConfig()).items():
-        nncore.doc_field(doc, key, int, type(default))
-
-    def part(cls):
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
-
-    return MsTcnConfig(doc["num_stages"], part(SsTcnConfig), part(LossConfig),
-                       doc["epochs"], doc["lr"], doc["seed"])
+    template = config_to_doc(MsTcnConfig())
+    nncore.doc_keys(doc, "config", template)
+    for key, default in template.items():
+        nncore.doc_field(doc, f"config.{key}", int, type(default))
+        if key in ("lambda_tmse", "tau") and doc[key] != default:
+            raise ValueError(f"field 'config.{key}' is {doc[key]}, but the "
+                             f"smoothing loss has {key} = {default}")
+    stage = SsTcnConfig(**{f.name: doc[f.name] for f in fields(SsTcnConfig)})
+    return MsTcnConfig(doc["num_stages"], stage, doc["epochs"], doc["lr"],
+                       doc["seed"])
 
 
 def weights_to_doc(weights: ModelWeights) -> dict:
@@ -110,9 +111,13 @@ def weights_to_doc(weights: ModelWeights) -> dict:
 
 
 def weights_from_doc(doc) -> ModelWeights:
-    weights = build_mstcn(config_from_doc(nncore.doc_field(doc, "config", dict)))
-    params = nncore.doc_field(doc, "params", dict)
-    for name, arr in weights.named_params():
+    """The model of a checkpoint body, whose `params` must be exactly the
+    parameters that its `config` builds."""
+    nncore.doc_keys(doc, "", ("config", "params"))
+    weights = build_mstcn(config_from_doc(doc["config"]))
+    named = weights.named_params()
+    params = nncore.doc_keys(doc["params"], "params", [n for n, _ in named])
+    for name, arr in named:
         saved = nncore.array_from_doc(params[name], f"params.{name}")
         if saved.shape != arr.shape:
             raise ValueError(f"checkpoint parameter {name} has shape "
@@ -202,15 +207,14 @@ def mstcn_forward(weights: ModelWeights, x: np.ndarray):
 
 def _loss_and_grads(weights: ModelWeights, x: np.ndarray, labels: np.ndarray):
     """Total loss over all stages and gradients for every parameter."""
-    cfg = weights.config.loss
     probs_list, caches = mstcn_forward(weights, x)
     total, gprobs_list = 0.0, []
     for probs in probs_list:
         ce, gprobs = nncore.cross_entropy_loss(probs, labels)
-        tmse, gtmse = nncore.tmse_loss(probs, cfg)
+        tmse, gtmse = nncore.tmse_loss(probs)
         total += ce
-        total += cfg.lambda_tmse * tmse
-        gprobs += cfg.lambda_tmse * gtmse
+        total += nncore.LAMBDA_TMSE * tmse
+        gprobs += nncore.LAMBDA_TMSE * gtmse
         gprobs_list.append(gprobs)
 
     grads = []  # each stage's gradients are prepended, last stage first

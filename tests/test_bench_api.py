@@ -7,6 +7,9 @@ the positional count and keyword names of every call must bind to the
 current signature, so that a change to the API fails here and not only in a
 benchmark run. The tracer's targets are named by strings and are left out:
 the tracer skips a function the program no longer has on purpose.
+
+The stream workload's committed model must also still load and save to the
+same bytes, so that a change to the checkpoint format fails here too.
 """
 
 import ast
@@ -15,6 +18,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from jumppipe import dataio
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -62,3 +67,10 @@ def test_reference_binds(module, attr, call):
         return
     inspect.signature(getattr(module, attr)).bind(
         *call.args, **{k.arg: k.value for k in call.keywords})
+
+
+def test_stream_model_loads_and_resaves_to_the_same_bytes(tmp_path):
+    committed = BENCH / "stream_model.ckpt"
+    weights = dataio.load_checkpoint(committed, expect="mstcn")
+    dataio.save_checkpoint(weights, tmp_path / "resaved.ckpt")
+    assert (tmp_path / "resaved.ckpt").read_bytes() == committed.read_bytes()

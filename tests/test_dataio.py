@@ -81,9 +81,15 @@ class TestCsvCodec:
             read(path)
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(146)),
-                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.data())
     @settings(max_examples=50, deadline=None)
-    def test_write_read_write_is_a_fixpoint(self, table):
+    def test_write_read_write_is_a_fixpoint(self, table, data):
+        # the height column is positive, as the reader requires
+        table[:, -1] = data.draw(arrays(np.float64, table.shape[0],
+                                        elements=st.floats(
+                                            min_value=0, exclude_min=True,
+                                            allow_infinity=False)))
         with tempfile.TemporaryDirectory() as d:
             once, twice = Path(d, "a.csv"), Path(d, "b.csv")
             write_feature_csv(table[:, :-1], table[:, -1], once)
@@ -440,6 +446,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path, "regressor")
 
+    @pytest.mark.parametrize("key, value", [("lambda_tmse", 0.3),
+                                            ("tau", 2.0)])
+    def test_loss_constant_other_than_recorded_refused(self, key, value,
+                                                       tmp_path):
+        doc = self._saved_doc("mstcn", tmp_path)
+        doc["config"][key] = value
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"bad\.ckpt: field "
+                                             rf"'config\.{key}' is {value}"):
+            load_checkpoint(path, "mstcn")
+
     @pytest.mark.parametrize("keys, value, message", [
         (("trees", 0, "left", 0), 0, r"trees\[0\]\.left\[0\] is 0"),
         (("trees", 1, "threshold"), [0.5] * 40,
@@ -448,7 +466,8 @@ class TestCheckpoints:
          r"trees\[0\]\.feature must lie in \[-1, 3\)"),
         (("trees",), 5, "'trees' must be a list"),
         (("trees",), [], "'trees' must be a list of trees, one or more for rf"),
-        (("trees",), [{"leaf": 2.5}], "missing field 'feature'"),
+        (("trees",), [{"leaf": 2.5}],
+         r"missing field 'trees\[0\]\.feature'"),
     ], ids=["self-loop", "threshold-length", "feature-range", "trees-int",
             "rf-no-trees", "nested-body"])
     def test_malformed_tree_rejected(self, keys, value, message, tmp_path):
@@ -466,12 +485,12 @@ class TestCheckpoints:
         ("mstcn", ("params",), 5, "params"),
         ("mstcn", ("config",), 5, "config"),
         ("mstcn", ("params", "stage0.conv_in.w"), 5, "params.stage0.conv_in.w"),
-        ("mstcn", ("config", "num_layers"), "3", "num_layers"),
-        ("mstcn", ("config", "lr"), None, "lr"),
+        ("mstcn", ("config", "num_layers"), "3", "config.num_layers"),
+        ("mstcn", ("config", "lr"), None, "config.lr"),
         ("mlp", ("mu",), 5, "mu"),
         ("mlp", ("layers",), 5, "layers"),
         ("mlp", ("mu",), {"shape": [3], "data": [1.0]}, "mu"),
-        ("mlp", ("layers", 0), 5, "layers[0].w"),
+        ("mlp", ("layers", 0), 5, "layers[0]"),
         ("mlp", ("layers", 1), {"w": {"shape": [1, 3, 1], "data": [0, 0, 0]},
                                 "b": {"shape": [1], "data": [0]}}, "layers[1]"),
         ("gbt", ("base",), "x", "base"),

@@ -2,10 +2,12 @@
 
 Each file the CLI reads (a session, annotations, heights, features, and an
 mstcn, rf, gbt and mlp checkpoint) is truncated at a random byte, has one
-byte replaced, gets a JSON node of the wrong type, a duplicated or an
-overlapping row, or is emptied, and then goes through a command that reads
-it. A file that is still valid gives exit 0; any other gives exit 1 or 2 and
-exactly one `error:` line that names the file's path.
+byte replaced, gets a JSON node of the wrong type, a non-finite number or a
+key that the writer does not write, a duplicated or an overlapping row, a
+feature row with a height that is not positive, or is emptied, and then goes
+through a command that reads it. A file that is still valid gives exit 0;
+any other gives exit 1 or 2 and exactly one `error:` line that names the
+file's path.
 """
 
 import contextlib
@@ -150,6 +152,13 @@ def _nodes(doc, path=()):
         yield from _nodes(value, (*path, key))
 
 
+def _node(doc, path):
+    """The node at `path` of a JSON document."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 OTHER_TYPES = [None, True, 7, 0.5, "x", [], {}]
 
 
@@ -159,9 +168,7 @@ OTHER_TYPES = [None, True, 7, 0.5, "x", [], {}]
 def test_json_node_of_wrong_type(files, kind, data):
     doc = json.loads(_valid(files, kind))
     path = data.draw(st.sampled_from(list(_nodes(doc))))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _node(doc, path[:-1])
     node = parent[path[-1]] if path else doc
     value = data.draw(st.sampled_from(
         [v for v in OTHER_TYPES if type(v) is not type(node)]))
@@ -170,6 +177,54 @@ def test_json_node_of_wrong_type(files, kind, data):
     else:
         doc = value
     _run(files, kind, json.dumps(doc).encode())
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]
+
+
+@pytest.mark.parametrize("kind", CHECKPOINT_KINDS)
+@FUZZ
+@given(data=st.data(), token=st.sampled_from(NON_FINITE))
+def test_non_finite_number_refused(files, kind, data, token):
+    """Any number of the file, in an array or alone, made non-finite as
+    Python's JSON reader takes it."""
+    doc = json.loads(_valid(files, kind))
+    numbers = [path for path in _nodes(doc) if path and type(
+        _node(doc, path)) in (int, float)]
+    path = data.draw(st.sampled_from(numbers))
+    _node(doc, path[:-1])[path[-1]] = "@"
+    text = json.dumps(doc).replace('"@"', token)
+    assert _run(files, kind, text.encode()) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("kind", CHECKPOINT_KINDS)
+@FUZZ
+@given(data=st.data(), value=st.sampled_from(OTHER_TYPES))
+def test_added_key_refused(files, kind, data, value):
+    """A key that the writer does not write, added to any dict of the file,
+    the top level included."""
+    doc = json.loads(_valid(files, kind))
+    dicts = [path for path in _nodes(doc)
+             if isinstance(_node(doc, path), dict)]
+    node = _node(doc, data.draw(st.sampled_from(dicts)))
+    key = data.draw(st.sampled_from(["extra", "", "data", "w", "wb", "trees",
+                                     "lr", "stage9.conv_in.w"]).filter(
+                                         lambda k: k not in node))
+    node[key] = value
+    assert _run(files, kind, json.dumps(doc).encode()) == EXIT_VALIDATION
+
+
+@FUZZ
+@given(data=st.data(), height=st.sampled_from(
+    ["0", "-0", "0.0", "-0.2", "-1e-300", "-5"]))
+def test_non_positive_feature_height_refused(files, data, height):
+    """A zero or negative height_m, which `read_heights` refuses too."""
+    rows = _rows(files, "features")
+    i = data.draw(st.integers(1, len(rows) - 1))
+    cells = rows[i].decode().rstrip("\n").split(",")
+    cells[-1] = height
+    rows[i] = (",".join(cells) + "\n").encode()
+    assert _run(files, "features", b"".join(rows)) == EXIT_VALIDATION
 
 
 def _rows(files, kind) -> list[bytes]:
@@ -254,3 +309,53 @@ def test_regressor_of_other_width_refused(files, tmp_path):
                       "--out", str(tmp_path / "out")]) == (
         EXIT_VALIDATION, f"error: {model}: the model takes 4 features, not "
                          f"the 145 of jumppipe's data\n")
+
+
+def test_mstcn_params_must_match_config(files, tmp_path):
+    """A 2-stage, 2-layer model whose config is edited to 1 stage and 1
+    layer would load as a model that uses 8 of the file's 24 parameters."""
+    model = tmp_path / "m.ckpt"
+    dataio.save_checkpoint(tcn.build_mstcn(tcn.MsTcnConfig(
+        num_stages=2, stage=tcn.SsTcnConfig(num_layers=2, num_filters=3))),
+        model)
+    doc = json.loads(model.read_text())
+    doc["config"].update(num_stages=1, num_layers=1)
+    model.write_text(json.dumps(doc))
+    assert _dispatch(["predict", "--model", str(model),
+                      "--session", str(files["valid"]["session"]),
+                      "--out", str(tmp_path / "out")]) == (
+        EXIT_VALIDATION,
+        f"error: {model}: unknown field 'params.stage0.block1.dilated.w'\n")
+
+
+@pytest.mark.parametrize("kind, path, token, field, shown", [
+    ("mstcn", ("params", "stage0.conv_in.w", "data", 0), "Infinity",
+     "params.stage0.conv_in.w", "inf"),
+    ("rf", ("trees", 0, "threshold", 0), "NaN", "trees[0].threshold", "nan"),
+    ("gbt", ("base",), "1e999", "base", "inf"),
+    ("gbt", ("eta",), "NaN", "eta", "nan"),
+    ("mstcn", ("config", "lr"), "-Infinity", "config.lr", "-inf"),
+], ids=["mstcn-weight", "rf-threshold", "gbt-base", "gbt-eta", "mstcn-lr"])
+def test_non_finite_number_named(files, kind, path, token, field, shown):
+    """An infinite weight gave non-finite probabilities, a NaN threshold
+    sent every row right and an infinite base gave infinite heights."""
+    doc = json.loads(_valid(files, kind))
+    _node(doc, path[:-1])[path[-1]] = "@"
+    target = files["target"][kind]
+    target.write_text(json.dumps(doc).replace('"@"', token))
+    assert _dispatch(_argv(files, kind)) == (
+        EXIT_VALIDATION, f"error: {target}: field '{field}' holds {shown}, "
+                         f"not a finite number\n")
+
+
+def test_fit_reg_refuses_non_positive_height(files, tmp_path):
+    rows = _rows(files, "features")
+    cells = rows[3].decode().rstrip("\n").split(",")
+    rows[3] = (",".join(cells[:-1] + ["-0.2"]) + "\n").encode()
+    features = tmp_path / "features.csv"
+    features.write_bytes(b"".join(rows))
+    assert _dispatch(["fit-reg", "--features", str(features),
+                      "--out", str(tmp_path / "out")]) == (
+        EXIT_VALIDATION, f"error: {features}:4: height must be positive and "
+                         f"finite, got -0.2\n")
+    assert not (tmp_path / "out").exists()

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from jumppipe import nncore, tcn
 from jumppipe.dataio import ImuSession
-from jumppipe.nncore import (AdamState, ConvKernel, DimensionError, LossConfig,
-                             adam_step, conv1d_backward, conv1d_dilated,
+from jumppipe.nncore import (AdamState, ConvKernel, DimensionError, adam_step,
+                             conv1d_backward, conv1d_dilated,
                              cross_entropy_loss, relu, relu_backward,
                              softmax_backward, softmax_rows, tmse_loss)
 
@@ -193,27 +193,25 @@ class TestLosses:
 
     def test_tmse_constant(self):
         probs = np.tile([0.3, 0.7], (5, 1))
-        assert tmse_loss(probs, LossConfig())[0] == 0.0
+        assert tmse_loss(probs)[0] == 0.0
 
     def test_tmse_degenerate_single_class(self):
-        assert tmse_loss(np.ones((4, 1)), LossConfig())[0] == 0.0
+        assert tmse_loss(np.ones((4, 1)))[0] == 0.0
 
     def test_tmse_short_sequence(self):
-        assert tmse_loss(np.array([[0.4, 0.6]]), LossConfig())[0] == 0.0
+        assert tmse_loss(np.array([[0.4, 0.6]]))[0] == 0.0
 
     def test_tmse_hand_example(self):
         probs = np.array([[0.5, 0.5], [0.9, 0.1]])
         expected = (math.log(1.8) ** 2 + math.log(5) ** 2) / 2
-        assert (tmse_loss(probs, LossConfig(tau=4.0))[0]
-                == pytest.approx(expected))
+        assert tmse_loss(probs)[0] == pytest.approx(expected)
 
     def test_tmse_column_permutation_invariance(self):
         rng = np.random.default_rng(2)
         probs = softmax_rows(rng.normal(size=(6, 4)))
         perm = [2, 0, 3, 1]
-        cfg = LossConfig()
-        assert (tmse_loss(probs, cfg)[0]
-                == pytest.approx(tmse_loss(probs[:, perm], cfg)[0]))
+        assert (tmse_loss(probs)[0]
+                == pytest.approx(tmse_loss(probs[:, perm])[0]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_losses_nonnegative(self, seed):
@@ -221,7 +219,7 @@ class TestLosses:
         probs = softmax_rows(rng.normal(size=(10, 4)))
         labels = rng.integers(0, 4, size=10)
         assert cross_entropy_loss(probs, labels)[0] >= 0
-        assert tmse_loss(probs, LossConfig())[0] >= 0
+        assert tmse_loss(probs)[0] >= 0
 
 
 def finite_diff(fn, arr, eps=1e-5):
@@ -273,15 +271,14 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
-        cfg = LossConfig()
 
         def loss():
             p = softmax_rows(logits)
             return (cross_entropy_loss(p, labels)[0]
-                    + 0.15 * tmse_loss(p, cfg)[0])
+                    + 0.15 * tmse_loss(p)[0])
 
         p = softmax_rows(logits)
-        gp = cross_entropy_loss(p, labels)[1] + 0.15 * tmse_loss(p, cfg)[1]
+        gp = cross_entropy_loss(p, labels)[1] + 0.15 * tmse_loss(p)[1]
         gz = softmax_backward(p, gp)
         fd = finite_diff(loss, logits)
         np.testing.assert_allclose(gz, fd, rtol=1e-5, atol=1e-8)

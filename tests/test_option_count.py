@@ -31,17 +31,12 @@ EXPECTED_OPTIONS = [
     "nncore:AdamState.second_moment",
     "nncore:AdamState.step",
     "nncore:ConvKernel.dilation",
-    "nncore:LossConfig.lambda_tmse",
-    "nncore:LossConfig.tau",
     "regression:GbtConfig.eta",
     "regression:GbtConfig.max_depth",
     "regression:GbtConfig.n_estimators",
     "regression:MlpRegConfig.hidden_layers",
-    "regression:MlpRegConfig.lr",
     "regression:MlpRegConfig.max_iter",
     "regression:MlpRegConfig.seed",
-    "regression:RfConfig.max_depth",
-    "regression:RfConfig.max_leaf_nodes",
     "regression:RfConfig.n_estimators",
     "regression:RfConfig.seed",
     "regression:fit_tree.features_per_split",
@@ -53,7 +48,6 @@ EXPECTED_OPTIONS = [
     "segmentation:min_duration_filter.min_len",
     "segmentation:select_roi.width",
     "tcn:MsTcnConfig.epochs",
-    "tcn:MsTcnConfig.loss",
     "tcn:MsTcnConfig.lr",
     "tcn:MsTcnConfig.num_stages",
     "tcn:MsTcnConfig.seed",
