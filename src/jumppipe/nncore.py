@@ -75,8 +75,8 @@ def array_to_doc(a: np.ndarray) -> dict:
 
 def array_from_doc(doc, name: str) -> np.ndarray:
     """The array of an `array_to_doc` document; a malformed one, or one that
-    holds a number that is not finite, raises an error naming the field
-    `name` it was read from."""
+    holds a number that is not finite or too large for a float, raises an
+    error naming the field `name` it was read from."""
     doc_keys(doc, name, ("shape", "data"))
     shape, data = doc["shape"], doc["data"]
     if not (isinstance(shape, list) and isinstance(data, list)
@@ -85,17 +85,24 @@ def array_from_doc(doc, name: str) -> np.ndarray:
             and len(data) == math.prod(shape)):
         raise ValueError(f"field {name!r} must be an array: a 'shape' list "
                          f"of dims and a 'data' list of that many numbers")
-    return finite_field(np.array(data, dtype=np.float64).reshape(shape), name)
+    return numbers_from_doc(data, name, np.float64).reshape(shape)
 
 
-def finite_field(values, name: str):
-    """`values`, a float or an array, if every number in it is finite; else
-    a ValueError that names the field `name` it was read from."""
-    finite = np.isfinite(values)
+def numbers_from_doc(values, name: str, dtype) -> np.ndarray:
+    """The JSON number or list of numbers `values` of the field `name` as a
+    `dtype` array, if each one fits it and is finite; else a ValueError that
+    names the field."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:
+        kind = "a float" if np.dtype(dtype).kind == "f" else "an int64"
+        raise ValueError(f"field {name!r} holds a number too large for "
+                         f"{kind}") from None
+    finite = np.isfinite(arr)
     if not finite.all():
-        bad = np.ravel(values)[~np.ravel(finite)][0]
+        bad = arr[~finite].flat[0]
         raise ValueError(f"field {name!r} holds {bad}, not a finite number")
-    return values
+    return arr
 
 
 def doc_keys(doc, name: str, keys) -> dict:
@@ -119,14 +126,17 @@ def doc_keys(doc, name: str, keys) -> dict:
 
 def doc_field(doc: dict, name: str, *types):
     """The value of the field `name`, whose last dotted part is its key in
-    `doc`, if its JSON type is one of `types` and a float is finite; else a
-    ValueError that names the field."""
+    `doc`, if its JSON type is one of `types` and, where `types` holds
+    float, it is finite as a float; else a ValueError that names the
+    field."""
     value = doc[name.rpartition(".")[2]]
     if type(value) not in types:  # so a bool is no int
         expected = " or ".join(sorted({t.__name__ for t in types}))
         raise ValueError(f"field {name!r} must be {expected}, "
                          f"not {type(value).__name__}")
-    return finite_field(value, name) if type(value) is float else value
+    if float in types:
+        numbers_from_doc(value, name, np.float64)
+    return value
 
 
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:

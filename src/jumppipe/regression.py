@@ -56,7 +56,7 @@ class GbtConfig:
 @dataclass
 class MlpRegConfig:
     hidden_layers: tuple = (100,)
-    max_iter: int = 8000
+    max_iter: int = 500
     seed: int = 0
 
     def __post_init__(self):
@@ -334,25 +334,31 @@ def _mlp_backward(layers, caches, grad_out):
 
 
 def fit_mlp_regressor(X, y, config: MlpRegConfig) -> TrainedRegressor:
-    """Single-hidden-layer ReLU net on z-scored features, full-batch Adam."""
+    """Single-hidden-layer ReLU net on z-scored features and z-scored
+    targets, full-batch Adam. The target's mean and scale are folded into
+    the output layer, so the net predicts heights directly."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     sigma = np.where(sigma > 0, sigma, 1.0)
     Xs = (X - mu) / sigma
+    y_mean = y.mean()
+    y_scale = y.std() if np.ptp(y) > 0 else 1.0  # a rounded mean leaves std > 0
     rng = np.random.default_rng(config.seed)
     dims = [X.shape[1], *config.hidden_layers, 1]
     layers = [_init_dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     params = [p for layer in layers for p in layer]
     opt = AdamState(lr=MLP_LR)
     n = X.shape[0]
-    yy = y.reshape(-1, 1)
+    yy = ((y - y_mean) / y_scale).reshape(-1, 1)
     for _ in range(config.max_iter):
         pred, caches = _mlp_forward(layers, Xs)
         grad_out = 2.0 * (pred - yy) / n
         grads = _mlp_backward(layers, caches, grad_out)
         nncore.adam_step(params, grads, opt)
+    out = layers[-1]
+    layers[-1] = Dense(out.weights * y_scale, out.bias * y_scale + y_mean)
     payload = {"layers": layers, "mu": mu, "sigma": sigma}
     return TrainedRegressor("mlp", payload, X.shape[1])
 
@@ -397,10 +403,9 @@ def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
                 and all(type(v) in types for v in col)):
             raise ValueError(f"{where}.{name} must be a list of "
                              f"{n or 'one or more'} {types[-1].__name__}s")
-    tree = Tree(*(np.array(doc[name], dtype=types[-1])
+    tree = Tree(*(nncore.numbers_from_doc(doc[name], f"{where}.{name}",
+                                          types[-1])
                   for name, types in _TREE_FIELDS.items()))
-    for name in ("threshold", "value"):
-        nncore.finite_field(getattr(tree, name), f"{where}.{name}")
     if tree.feature.min() < -1 or tree.feature.max() >= input_dim:
         raise ValueError(f"{where}.feature must lie in [-1, {input_dim})")
     inner = np.flatnonzero(tree.feature >= 0)
@@ -472,6 +477,10 @@ def from_doc(kind, doc: dict) -> TrainedRegressor:
         if widths != [(input_dim,)] * 2:
             raise ValueError(f"field 'input_dim' is {input_dim}, but mu and "
                              f"sigma have widths {widths}")
+        bad = np.flatnonzero(payload["sigma"] <= 0)
+        if bad.size:
+            raise ValueError(f"field 'sigma[{bad[0]}]' is "
+                             f"{payload['sigma'][bad[0]]}, not positive")
         payload["layers"], width = [], input_dim  # width: the next layer's input
         for k, layer in enumerate(nncore.doc_field(doc, "layers", list)):
             nncore.doc_keys(layer, f"layers[{k}]", ("w", "b"))

@@ -9,6 +9,7 @@ of the previous stage's logits and refine it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -66,14 +67,10 @@ class ModelWeights:
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         """Flat (name, array) list in parameter order; arrays are live views."""
-        names = ["conv_in", *(f"block{l}.{part}"
-                              for l in range(self.config.stage.num_layers)
-                              for part in ("dilated", "pointwise")), "conv_out"]
+        kernels = (k for stage in self.stages for k in stage)
         out = []
-        for s, kernels in enumerate(self.stages):
-            for name, k in zip(names, kernels):
-                out += [(f"stage{s}.{name}.w", k.weights),
-                        (f"stage{s}.{name}.b", k.bias)]
+        for k, (_, name, *_) in zip(kernels, kernel_layout(self.config)):
+            out += [(f"{name}.w", k.weights), (f"{name}.b", k.bias)]
         return out
 
     def params(self) -> list[np.ndarray]:
@@ -112,18 +109,49 @@ def weights_to_doc(weights: ModelWeights) -> dict:
 
 def weights_from_doc(doc) -> ModelWeights:
     """The model of a checkpoint body, whose `params` must be exactly the
-    parameters that its `config` builds."""
+    parameters, by name and shape, that its `config` lays out. The model is
+    built from the file's arrays only once they all match, so the config
+    alone never sets how much memory a load asks for."""
     nncore.doc_keys(doc, "", ("config", "params"))
-    weights = build_mstcn(config_from_doc(doc["config"]))
-    named = weights.named_params()
-    params = nncore.doc_keys(doc["params"], "params", [n for n, _ in named])
-    for name, arr in named:
-        saved = nncore.array_from_doc(params[name], f"params.{name}")
-        if saved.shape != arr.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape "
-                             f"{saved.shape}, expected {arr.shape}")
-        arr[...] = saved
-    return weights
+    config = config_from_doc(doc["config"])
+    params = doc["params"]
+    # One kernel more than the file holds is enough to tell a mismatch.
+    layout = list(itertools.islice(
+        kernel_layout(config),
+        len(params) // 2 + 1 if type(params) is dict else 0))
+    shapes = {}
+    for _, name, k, cin, cout, _ in layout:
+        shapes.update({f"{name}.w": (k, cin, cout), f"{name}.b": (cout,)})
+    nncore.doc_keys(params, "params", shapes)
+    saved = {}
+    for name, shape in shapes.items():
+        saved[name] = nncore.array_from_doc(params[name], f"params.{name}")
+        if saved[name].shape != shape:
+            raise ValueError(f"field 'params.{name}' has shape "
+                             f"{saved[name].shape}, but the config lays out "
+                             f"{shape}")
+    stages = [[] for _ in range(config.num_stages)]
+    for s, name, *_, dilation in layout:
+        stages[s].append(ConvKernel(saved[f"{name}.w"], saved[f"{name}.b"],
+                                    dilation))
+    return ModelWeights(config=config, stages=stages)
+
+
+def kernel_layout(config: MsTcnConfig):
+    """(stage, name, kernel_size, in, out, dilation) of each kernel, in
+    parameter order: per stage conv_in, then each block's dilated and
+    pointwise kernel, then conv_out. A generator, so a reader may stop
+    early."""
+    sc = config.stage
+    for s in range(config.num_stages):
+        din = sc.in_channels if s == 0 else sc.num_classes
+        yield s, f"stage{s}.conv_in", 1, din, sc.num_filters, 1
+        for l in range(sc.num_layers):
+            yield (s, f"stage{s}.block{l}.dilated", sc.kernel_size,
+                   sc.num_filters, sc.num_filters, 2**l)
+            yield (s, f"stage{s}.block{l}.pointwise", 1, sc.num_filters,
+                   sc.num_filters, 1)
+        yield s, f"stage{s}.conv_out", 1, sc.num_filters, sc.num_classes, 1
 
 
 def _init_kernel(rng, k: int, cin: int, cout: int, dilation: int) -> ConvKernel:
@@ -137,17 +165,9 @@ def build_mstcn(config: MsTcnConfig) -> ModelWeights:
     """Deterministic uniform +-1/sqrt(fan_in) initialization from the
     config's seed."""
     rng = np.random.default_rng(config.seed)
-    sc = config.stage
-    stages = []
-    for s in range(config.num_stages):
-        din = sc.in_channels if s == 0 else sc.num_classes
-        kernels = [_init_kernel(rng, 1, din, sc.num_filters, 1)]
-        for l in range(sc.num_layers):
-            kernels += [_init_kernel(rng, sc.kernel_size, sc.num_filters,
-                                     sc.num_filters, 2**l),
-                        _init_kernel(rng, 1, sc.num_filters, sc.num_filters, 1)]
-        kernels.append(_init_kernel(rng, 1, sc.num_filters, sc.num_classes, 1))
-        stages.append(kernels)
+    stages = [[] for _ in range(config.num_stages)]
+    for s, _, k, cin, cout, dilation in kernel_layout(config):
+        stages[s].append(_init_kernel(rng, k, cin, cout, dilation))
     return ModelWeights(config=config, stages=stages)
 
 

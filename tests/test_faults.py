@@ -348,6 +348,70 @@ def test_non_finite_number_named(files, kind, path, token, field, shown):
                          f"not a finite number\n")
 
 
+TOO_LARGE = "1" + "0" * 400  # a JSON integer beyond the largest float
+
+
+@pytest.mark.parametrize("kind, path, field, fits", [
+    ("rf", ("trees", 0, "threshold", 0), "trees[0].threshold", "a float"),
+    ("rf", ("trees", 0, "left", 0), "trees[0].left", "an int64"),
+    ("gbt", ("base",), "base", "a float"),
+    ("mlp", ("mu", "data", 0), "mu", "a float"),
+    ("mstcn", ("params", "stage0.conv_in.b", "data", 0),
+     "params.stage0.conv_in.b", "a float"),
+    ("mstcn", ("config", "lr"), "config.lr", "a float"),
+], ids=["rf-threshold", "rf-left", "gbt-base", "mlp-mu", "mstcn-weight",
+        "mstcn-lr"])
+def test_number_too_large_named(files, kind, path, field, fits):
+    """It was refused as `int too large to convert to float`, without the
+    field."""
+    doc = json.loads(_valid(files, kind))
+    _node(doc, path[:-1])[path[-1]] = "@"
+    target = files["target"][kind]
+    target.write_text(json.dumps(doc).replace('"@"', TOO_LARGE))
+    assert _dispatch(_argv(files, kind)) == (
+        EXIT_VALIDATION, f"error: {target}: field '{field}' holds a number "
+                         f"too large for {fits}\n")
+
+
+@pytest.mark.parametrize("value, shown", [(0, "0.0"), (-0.0, "-0.0"),
+                                          (-2.5, "-2.5")])
+def test_non_positive_mlp_sigma_refused(files, tmp_path, value, shown):
+    """A sigma of 0 made eval-reg exit 0 and write NaN metrics."""
+    doc = json.loads(_valid(files, "mlp"))
+    doc["sigma"]["data"][7] = value
+    target = files["target"]["mlp"]
+    target.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert _dispatch(["eval-reg", "--model", str(target), "--features",
+                      str(files["valid"]["features"]), "--out", str(out)]) == (
+        EXIT_VALIDATION, f"error: {target}: field 'sigma[7]' is {shown}, "
+                         f"not positive\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("num_filters", 10**12, "field 'params.stage0.conv_in.w' has shape "
+     "(1, 6, 3), but the config lays out (1, 6, 1000000000000)"),
+    ("num_layers", 10**9, "mstcn checkpoint is missing field "
+     "'params.stage0.block2.dilated.w'"),
+], ids=["num-filters", "num-layers"])
+def test_mstcn_config_checked_against_params_before_allocating(
+        files, monkeypatch, field, value, error):
+    """A config edited to a huge model died with an uncaught
+    ArrayMemoryError: the model was built from it before `params` was read.
+    Building a kernel here fails the test, so no such memory is asked for."""
+    def refuse(*args):
+        raise AssertionError("a kernel was allocated")
+    monkeypatch.setattr(tcn, "_init_kernel", refuse)
+    monkeypatch.setattr(tcn, "ConvKernel", refuse)
+    doc = json.loads(_valid(files, "mstcn"))
+    doc["config"][field] = value
+    target = files["target"]["mstcn"]
+    target.write_text(json.dumps(doc))
+    assert _dispatch(_argv(files, "mstcn")) == (
+        EXIT_VALIDATION, f"error: {target}: {error}\n")
+
+
 def test_fit_reg_refuses_non_positive_height(files, tmp_path):
     rows = _rows(files, "features")
     cells = rows[3].decode().rstrip("\n").split(",")

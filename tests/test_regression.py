@@ -338,6 +338,44 @@ class TestMlp:
         np.testing.assert_allclose(predict_mlp(model, X), predict_mlp(model_p, X),
                                    rtol=1e-9, atol=1e-12)
 
+    def test_affine_equivariant_in_the_target(self):
+        """The net fits standardised targets, so rescaling and shifting y
+        rescales and shifts the predictions, to rounding."""
+        X, y = linear_fixture(seed=18, n=60)
+        cfg = MlpRegConfig(hidden_layers=(16,), max_iter=300, seed=2)
+        pred = predict_mlp(fit_mlp_regressor(X, y, cfg), X)
+        scaled = predict_mlp(fit_mlp_regressor(X, 10 * y - 2, cfg), X)
+        np.testing.assert_allclose(scaled, 10 * pred - 2, rtol=0, atol=1e-12)
+
+    def test_folded_checkpoint_round_trip_bit_identical(self, tmp_path):
+        from jumppipe import dataio
+        X, y = linear_fixture(seed=19, n=40)
+        model = fit_mlp_regressor(X, 0.3 + 0.05 * y,
+                                  MlpRegConfig(hidden_layers=(8,), max_iter=50))
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        dataio.save_checkpoint(model, first)
+        loaded = dataio.load_checkpoint(first, expect="regressor")
+        dataio.save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        np.testing.assert_array_equal(predict_mlp(loaded, X),
+                                      predict_mlp(model, X))
+
+    def test_held_out_subject_error_on_default_dataset(self):
+        """Default MLP, default seed-1 dataset: fit on 9 subjects, predict
+        the tenth. Fit on raw heights for 8000 iterations it erred by
+        0.039 m; on standardised heights for 500, by 0.016 m."""
+        from jumppipe import dataio, evaluation
+        from jumppipe.segmentation import DEFAULT_ROI_WIDTH
+        sessions, heights = dataio.synth_generate(dataio.SyntheticConfig(seed=1))
+        held_out = sessions[-1].subject_id
+        tables = [evaluation.feature_table(
+            [s for s in sessions if (s.subject_id == held_out) == test],
+            heights, DEFAULT_ROI_WIDTH) for test in (False, True)]
+        (X, y), (X_test, y_test) = tables
+        model = fit_mlp_regressor(X, y, MlpRegConfig())
+        rmse = np.sqrt(((predict_mlp(model, X_test) - y_test) ** 2).mean())
+        assert rmse <= 0.025
+
     def test_gradients_match_finite_difference(self):
         from jumppipe import nncore
         rng = np.random.default_rng(11)
