@@ -340,11 +340,12 @@ def fit_mlp_regressor(X, y, config: MlpRegConfig) -> TrainedRegressor:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
-    sigma = np.where(sigma > 0, sigma, 1.0)
+    # ptp, not std, tells a constant column or target: one whose mean
+    # rounds has std > 0 (5.6e-17 for a column of 0.3)
+    sigma = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 1.0)
     Xs = (X - mu) / sigma
     y_mean = y.mean()
-    y_scale = y.std() if np.ptp(y) > 0 else 1.0  # a rounded mean leaves std > 0
+    y_scale = y.std() if np.ptp(y) > 0 else 1.0
     rng = np.random.default_rng(config.seed)
     dims = [X.shape[1], *config.hidden_layers, 1]
     layers = [_init_dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]

@@ -9,6 +9,10 @@ of the previous stage's logits and refine it.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import math
 import os
@@ -227,14 +231,47 @@ def mstcn_forward(weights: ModelWeights, x: np.ndarray):
 
 def _loss_and_grads(weights: ModelWeights, x: np.ndarray, labels: np.ndarray):
     """Total loss over all stages and gradients for every parameter."""
-    probs_list, caches = mstcn_forward(weights, x)
+    x = _model_input(weights, x)
+    return _span_loss_and_grads(weights, x, labels, 0, x.shape[0])
+
+
+def _span_loss_and_grads(weights: ModelWeights, x: np.ndarray, labels,
+                         a: int, b: int):
+    """Span [a, b)'s share of `_loss_and_grads` over the session (x, labels)
+    of T rows, with the gradient of that share; the shares of spans that
+    tile [0, T) sum to the session's loss and gradients.
+
+    A stage's share is the cross entropy of rows [a, b) times (b - a) / T
+    plus lambda times the TMSE of the pairs (t - 1, t), t in [max(a, 1), b),
+    times their count / (T - 1): each is the span's own mean weighted by its
+    part of the session's rows or pairs. Those probabilities, rows
+    [a - 1, b), are exact when the forward runs over rows [a - 1 - H, b + H)
+    clipped to the session (`halo_rows`), and the backward of that forward
+    gives the share's exact gradient. For [0, T) every weight is 1.0 and the
+    forward runs over the whole session, so the result is the whole-session
+    computation's to the bit. Returns (share, grads, per-stage probabilities
+    of the rows the forward ran over).
+    """
+    T = x.shape[0]
+    if len(labels) != T:
+        raise DimensionError("labels length must equal number of input rows")
+    halo = halo_rows(weights.config)
+    lo, hi = max(a - 1 - halo, 0), min(b + halo, T)
+    first = max(a, 1)  # the span's pairs (t - 1, t) are t in [first, b)
+    ce_weight = (b - a) / T
+    tmse_weight = (b - first) / max(T - 1, 1)
+    probs_list, caches = mstcn_forward(weights, x[lo:hi])
     total, gprobs_list = 0.0, []
     for probs in probs_list:
-        ce, gprobs = nncore.cross_entropy_loss(probs, labels)
-        tmse, gtmse = nncore.tmse_loss(probs)
-        total += ce
-        total += nncore.LAMBDA_TMSE * tmse
-        gprobs += nncore.LAMBDA_TMSE * gtmse
+        ce, gce = nncore.cross_entropy_loss(probs[a - lo : b - lo],
+                                            labels[a:b])
+        tmse, gtmse = nncore.tmse_loss(probs[first - 1 - lo : b - lo])
+        total += ce * ce_weight
+        total += nncore.LAMBDA_TMSE * (tmse * tmse_weight)
+        gprobs = np.zeros_like(probs)
+        gprobs[a - lo : b - lo] = gce * ce_weight
+        gprobs[first - 1 - lo : b - lo] += nncore.LAMBDA_TMSE * (
+            gtmse * tmse_weight)
         gprobs_list.append(gprobs)
 
     grads = []  # each stage's gradients are prepended, last stage first
@@ -249,11 +286,33 @@ def _loss_and_grads(weights: ModelWeights, x: np.ndarray, labels: np.ndarray):
     return total, grads, probs_list
 
 
+def _session_loss_and_grads(weights: ModelWeights, x: np.ndarray, labels,
+                            span_map):
+    """`_loss_and_grads` of a session as the sum of its spans' shares
+    (`_span_loss_and_grads`), added in span order, so the result depends
+    only on T and the config. `span_map` maps a function over the span
+    starts (`_span_map`)."""
+    T, span = x.shape[0], span_rows(weights.config)
+
+    def run(a):
+        return _span_loss_and_grads(weights, x, labels, a, min(a + span, T))
+
+    shares = span_map(run, range(0, T, span))
+    total, grads, _ = next(shares)
+    for share, span_grads, _ in shares:
+        total += share
+        for g, s in zip(grads, span_grads):
+            g += s
+    return total, grads
+
+
 def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:
     """Full-sequence gradient training; one session = one batch.
 
     Sessions are visited in the given order every epoch (deterministic).
-    Returns the weights and the per-epoch mean loss history.
+    Each session's gradient is the sum of its spans' (`span_rows`), which
+    run as `predict`'s do (`_span_map`). Returns the weights and the
+    per-epoch mean loss history.
     """
     sessions = list(sessions)
     if not sessions:
@@ -264,26 +323,29 @@ def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:
     weights = build_mstcn(config)
     opt = AdamState(lr=config.lr)
     history = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        for sess in sessions:
-            loss, grads, _ = _loss_and_grads(weights, sess.samples,
-                                             sess.labels)
-            if not np.isfinite(loss):
-                raise FloatingPointError("non-finite training loss")
-            nncore.adam_step(weights.params(), grads, opt)
-            epoch_loss += loss
-        history.append(epoch_loss / len(sessions))
+    spans = max(-(-len(sess.labels) // span_rows(config)) for sess in sessions)
+    with _span_map(spans) as span_map:
+        for _ in range(config.epochs):
+            epoch_loss = 0.0
+            for sess in sessions:
+                loss, grads = _session_loss_and_grads(
+                    weights, sess.samples, sess.labels, span_map)
+                if not np.isfinite(loss):
+                    raise FloatingPointError("non-finite training loss")
+                nncore.adam_step(weights.params(), grads, opt)
+                epoch_loss += loss
+            history.append(epoch_loss / len(sessions))
     return weights, history
 
 
-# Rows per span of `predict`. Measured on the stream model (2 stages x 7
-# layers x 16 filters, H = 254, 2 vCPU, OpenBLAS): 2048- and 3072-row spans
-# on two threads take 31-32 ms at T = 16 836 against 60 ms whole; 4096-row
-# spans take 68 ms, as OpenBLAS then threads each product and oversubscribes
-# the cores. A span is at least 8 H rows, so recomputed halo rows stay under
-# a quarter of the work: at the default 4 x 10 x 64 shape (H = 4092),
-# 2048-row spans were 5x slower than the whole session.
+# Rows per span of `predict` and `train`. Measured on the stream model's
+# predict (2 stages x 7 layers x 16 filters, H = 254, 2 vCPU, OpenBLAS at
+# its default 2 threads): 2048- and 3072-row spans on two threads take
+# 31-32 ms at T = 16 836 against 60 ms whole; 4096-row spans take 68 ms, as
+# OpenBLAS then threads each product and oversubscribes the cores. A span
+# is at least 8 H rows, so recomputed halo rows stay under a quarter of the
+# work: at the default 4 x 10 x 64 shape (H = 4092), 2048-row spans were 5x
+# slower than the whole session.
 CHUNK_ROWS = 2048
 
 
@@ -294,8 +356,52 @@ def halo_rows(config: MsTcnConfig) -> int:
 
 
 def span_rows(config: MsTcnConfig) -> int:
-    """Rows per span of `predict`: CHUNK_ROWS, or 8 H if that is more."""
+    """Rows per span of `predict` and `train`: CHUNK_ROWS, or 8 H if that
+    is more."""
     return max(CHUNK_ROWS, 8 * halo_rows(config))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where it or its setter is not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _span_map(spans: int):
+    """A `map` for up to `spans` independent spans. With more than one
+    usable CPU and span, it runs them on a pool of min(usable CPUs, spans)
+    threads with OpenBLAS at one thread, as two threads per product on top
+    of a thread per span oversubscribe the cores; the prior thread count
+    comes back on exit. Else, or where OpenBLAS's setter is not found, it is
+    the builtin map, in the caller's thread. The count is process-wide, so
+    two calls that overlap in time from two threads, which nothing in this
+    package makes, could restore each other's count."""
+    workers = min(len(os.sched_getaffinity(0)), spans)
+    blas = _openblas() if workers > 1 else None
+    if blas is None:
+        yield map
+        return
+    get, set_ = blas
+    prior = get()
+    set_(1)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool.map
+    finally:
+        set_(prior)
 
 
 def _predict_rows(weights: ModelWeights, x: np.ndarray) -> np.ndarray:
@@ -320,10 +426,10 @@ def predict(weights: ModelWeights, session) -> tuple[np.ndarray, np.ndarray]:
     Ties break toward the lowest class index. The session is cut into spans
     of `span_rows`; each span [a, b) runs over rows [a - H, b + H) clipped to
     the session and keeps rows [a, b), which are then exact (`halo_rows`),
-    so the output is byte for byte that of `mstcn_forward`. Spans run on a
-    per-call pool of min(usable CPUs, spans) threads; one span runs in the
-    caller's thread. Memory is bounded by the span size, not by T, apart
-    from the (T, classes) output.
+    so the output is byte for byte that of `mstcn_forward`. Spans run on
+    `_span_map`'s per-call pool; one span runs in the caller's thread.
+    Memory is bounded by the span size, not by T, apart from the
+    (T, classes) output.
     """
     inp = _model_input(weights, session.samples)
     T, halo = inp.shape[0], halo_rows(weights.config)
@@ -335,11 +441,7 @@ def predict(weights: ModelWeights, session) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = max(a - halo, 0), min(b + halo, T)
         probs[a:b] = _predict_rows(weights, inp[lo:hi])[a - lo : b - lo]
 
-    if T <= span:
-        run(0)
-    else:
-        starts = range(0, T, span)
-        workers = min(len(os.sched_getaffinity(0)), len(starts))
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, starts))  # re-raises a span's error
+    starts = range(0, T, span)
+    with _span_map(len(starts)) as span_map:
+        list(span_map(run, starts))  # re-raises a span's error
     return probs, np.argmax(probs, axis=1)

@@ -347,6 +347,22 @@ class TestMlp:
         scaled = predict_mlp(fit_mlp_regressor(X, 10 * y - 2, cfg), X)
         np.testing.assert_allclose(scaled, 10 * pred - 2, rtol=0, atol=1e-12)
 
+    def test_constant_column_is_not_scaled_up(self):
+        """A column fixed at 0.3 has a mean that rounds, so its std is
+        5.6e-17, not 0. It gets scale 1, so 0.31 in that column moves a
+        prediction by its first-layer weights times 0.01, not by 1.8e14
+        times that (which predicted -3.3e11 m)."""
+        X, y = linear_fixture(seed=20, n=50)
+        X[:, 1] = 0.3
+        assert X[:, 1].std() > 0
+        model = fit_mlp_regressor(X, 0.3 + 0.05 * y,
+                                  MlpRegConfig(hidden_layers=(8,), max_iter=50))
+        assert model.payload["sigma"][1] == 1.0
+        moved = X[:5].copy()
+        moved[:, 1] = 0.31
+        np.testing.assert_allclose(predict_mlp(model, moved),
+                                   predict_mlp(model, X[:5]), rtol=0, atol=5e-3)
+
     def test_folded_checkpoint_round_trip_bit_identical(self, tmp_path):
         from jumppipe import dataio
         X, y = linear_fixture(seed=19, n=40)

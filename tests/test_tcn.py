@@ -323,3 +323,198 @@ class TestPredictChunks:
         x = np.zeros((2 * tcn.CHUNK_ROWS, 6))
         with pytest.raises(FloatingPointError, match="span failed"):
             tcn.predict(weights, dataio.ImuSession("s", x))
+
+
+def span_sessions(lengths):
+    """Labeled random sessions of the given lengths, 6 channels, 8 classes."""
+    rng = np.random.default_rng(0)
+    return [dataio.ImuSession(f"s{i}", rng.normal(size=(T, 6)),
+                              rng.integers(0, 8, size=T))
+            for i, T in enumerate(lengths)]
+
+
+def whole_session_loss_and_grads(weights, x, labels):
+    """Reference: the loss and gradients of one whole-session step, each
+    stage's cross entropy and TMSE taken over all T rows."""
+    probs_list, caches = tcn.mstcn_forward(weights, x)
+    total, gprobs_list = 0.0, []
+    for probs in probs_list:
+        ce, gprobs = nncore.cross_entropy_loss(probs, labels)
+        tmse, gtmse = nncore.tmse_loss(probs)
+        total += ce
+        total += nncore.LAMBDA_TMSE * tmse
+        gprobs += nncore.LAMBDA_TMSE * gtmse
+        gprobs_list.append(gprobs)
+    grads, g_next = [], None
+    for stage, cache, probs, gprobs in reversed(list(zip(
+            weights.stages, caches, probs_list, gprobs_list))):
+        if g_next is not None:
+            gprobs += g_next
+        glogits = nncore.softmax_backward(probs, gprobs)
+        stage_grads, g_next = tcn.sstcn_backward(stage, cache, glogits)
+        grads[:0] = stage_grads
+    return total, grads
+
+
+def trained_bytes(config, sessions):
+    weights, history = tcn.train(config, sessions)
+    return [p.tobytes() for p in weights.params()], history
+
+
+class TestTrainSpans:
+    """train sums each session's gradient over `predict`'s spans; the sum
+    must be the whole session's gradient, and its bytes must not depend on
+    the threads that computed it."""
+
+    CONFIG = small_config(num_stages=2, num_layers=3, num_filters=6,
+                          in_channels=6, num_classes=8, epochs=2, seed=4)
+
+    @pytest.mark.parametrize("extra", [0, 1, tcn.CHUNK_ROWS + 1])
+    def test_span_sum_equals_whole_session(self, extra):
+        # extra = 1 leaves a last span of one row
+        weights = tcn.build_mstcn(self.CONFIG)
+        T = tcn.span_rows(self.CONFIG) + extra
+        sess, = span_sessions([T])
+        loss, grads, _ = tcn._loss_and_grads(weights, sess.samples,
+                                             sess.labels)
+        # `_loss_and_grads` is the span [0, T): the whole session's step
+        ref_loss, ref = whole_session_loss_and_grads(weights, sess.samples,
+                                                     sess.labels)
+        assert loss == ref_loss
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref]
+        got_loss, got = tcn._session_loss_and_grads(weights, sess.samples,
+                                                    sess.labels, map)
+        if extra == 0:  # one span is the whole session, to the bit
+            assert got_loss == loss
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in grads]
+        assert abs(got_loss - loss) <= 1e-12 * loss
+        for g, want in zip(got, grads):
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_span_share_matches_finite_differences(self):
+        config = small_config(num_stages=2, num_layers=2, num_filters=3,
+                              in_channels=6, num_classes=4, seed=2)
+        weights = tcn.build_mstcn(config)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 6))
+        labels = rng.integers(0, 4, size=40)
+        a, b = 17, 29  # halos of H = 6 rows are cut off on neither side
+
+        def share():
+            return tcn._span_loss_and_grads(weights, x, labels, a, b)[0]
+
+        _, grads, _ = tcn._span_loss_and_grads(weights, x, labels, a, b)
+        eps = 1e-6
+        for p, g in zip(weights.params(), grads):
+            for i in rng.choice(p.size, size=min(3, p.size), replace=False):
+                flat = p.reshape(-1)
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = share()
+                flat[i] = orig - eps
+                lo = share()
+                flat[i] = orig
+                fd = (hi - lo) / (2 * eps)
+                assert abs(g.flat[i] - fd) <= 1e-6 * max(1e-3, abs(fd))
+
+    def test_one_span_sessions_train_as_whole_sessions(self):
+        # the training loop with one whole-session step per session
+        sessions = span_sessions([300, tcn.span_rows(self.CONFIG)])
+        weights = tcn.build_mstcn(self.CONFIG)
+        opt = nncore.AdamState(lr=self.CONFIG.lr)
+        history = []
+        for _ in range(self.CONFIG.epochs):
+            losses = []
+            for sess in sessions:
+                loss, grads = whole_session_loss_and_grads(
+                    weights, sess.samples, sess.labels)
+                nncore.adam_step(weights.params(), grads, opt)
+                losses.append(loss)
+            history.append(sum(losses) / len(sessions))
+        want = [p.tobytes() for p in weights.params()], history
+        assert trained_bytes(self.CONFIG, sessions) == want
+
+    def test_trained_bytes_do_not_depend_on_cpu_count(self, monkeypatch):
+        S = tcn.span_rows(self.CONFIG)
+        sessions = span_sessions([2 * S + 1, S + 7, 300])
+        # eight workers on two CPUs, switching every microsecond
+        monkeypatch.setattr(tcn.os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = trained_bytes(self.CONFIG, sessions)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0})
+        assert trained_bytes(self.CONFIG, sessions) == pooled
+        monkeypatch.setattr(tcn.os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        monkeypatch.setattr(tcn, "_openblas", lambda: None)
+        assert trained_bytes(self.CONFIG, sessions) == pooled
+
+
+@pytest.mark.skipif(tcn._openblas() is None,
+                    reason="numpy's OpenBLAS thread setter is not found")
+class TestSpanBlasThreads:
+    """Spans run with OpenBLAS at one thread; train hands the prior count
+    back however it ends, and leaves no thread behind."""
+
+    CONFIG = TestTrainSpans.CONFIG
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # the thread count each span sees
+        get, _ = tcn._openblas()
+        span = tcn._span_loss_and_grads
+        seen = []
+
+        def counting(*args):
+            seen.append(get())
+            return span(*args)
+
+        monkeypatch.setattr(tcn, "_span_loss_and_grads", counting)
+        monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
+        return seen
+
+    @pytest.fixture
+    def prior(self):
+        get, set_ = tcn._openblas()
+        prior = get()
+        set_(3)  # a count that no default gives
+        yield 3
+        set_(prior)
+
+    def check_restored(self, prior, baseline):
+        assert tcn._openblas()[0]() == prior
+        assert threading.active_count() == baseline
+
+    def test_spans_run_at_one_thread_and_the_count_comes_back(self, seen,
+                                                              prior):
+        baseline = threading.active_count()
+        sessions = span_sessions([2 * tcn.span_rows(self.CONFIG) + 1])
+        tcn.train(self.CONFIG, sessions)
+        assert seen and set(seen) == {1}
+        self.check_restored(prior, baseline)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_count_comes_back_after_a_non_finite_loss(self, seen, prior):
+        baseline = threading.active_count()
+        sess, = span_sessions([2 * tcn.span_rows(self.CONFIG)])
+        sess.samples[-1, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            tcn.train(self.CONFIG, [sess])
+        assert set(seen) == {1}
+        self.check_restored(prior, baseline)
+
+    def test_count_comes_back_after_a_span_raises(self, monkeypatch, prior):
+        def refuse(*args):
+            raise FloatingPointError("span failed")
+
+        monkeypatch.setattr(tcn, "_span_loss_and_grads", refuse)
+        monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
+        baseline = threading.active_count()
+        sessions = span_sessions([2 * tcn.span_rows(self.CONFIG) + 1])
+        with pytest.raises(FloatingPointError, match="span failed"):
+            tcn.train(self.CONFIG, sessions)
+        self.check_restored(prior, baseline)
