@@ -5,8 +5,13 @@ feature importance.
 Trees are CART-style with the squared-error criterion: greedy best split by
 sum-of-squared-error reduction, midpoint split candidates, best-first growth
 under a leaf budget. The split search is exact and covers all candidate
-features of a node in one vectorised pass. Permutation importance makes one
-predict call per feature, over all its permuted repeats stacked together.
+features of a node in one vectorised pass. It sorts integer keys, not
+floats: a fit ranks every column of X once (an ensemble once for all its
+trees), and a node sorts keys that pack each row's rank above its position
+in the node, which orders the rows as a stable argsort of the values would.
+Every fitter refuses a non-finite or misshapen X or y before any work.
+Permutation importance makes one predict call per feature, over all its
+permuted repeats stacked together.
 """
 
 from __future__ import annotations
@@ -85,7 +90,39 @@ class Tree:
     value: np.ndarray      # float64 mean target of the node's rows
 
 
-def _best_split(X, y, idx, features):
+def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float64, refused before any fitting unless X is a
+    non-empty, finite 2-D table and y holds one finite target per row."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"X must be a non-empty 2-D array, got shape "
+                         f"{X.shape}")
+    if y.shape != (X.shape[0],):
+        raise DimensionError(f"y must hold one target per row of X: y has "
+                             f"shape {y.shape}, X has {X.shape[0]} rows")
+    for name, a in (("X", X), ("y", y)):
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            at = tuple(bad[0].tolist())
+            raise ValueError(f"{name}{list(at)} is {a[at]}, not finite")
+    return X, y
+
+
+def _rank_columns(X) -> np.ndarray:
+    """(features, rows) int64 rank of each value of X within its column:
+    equal values share a rank (-0.0 == 0.0) and ranks keep the values'
+    order, so a node can sort integer keys instead of floats."""
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    steps = np.zeros(xs.shape, dtype=np.int64)
+    steps[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=1), axis=1)
+    return ranks
+
+
+def _best_split(X, ranks, y, idx, features):
     """Best (gain, feature, threshold, order, cut) over candidate features,
     or None when no feature has two distinct values among the rows `idx`.
 
@@ -94,8 +131,11 @@ def _best_split(X, y, idx, features):
     feature and its first `cut` rows go left. Ties break toward the earlier
     candidate feature, then the lower threshold.
 
-    All candidate features are searched in one pass: gains[k, c] is the gain
-    of sending the k + 1 smallest values of candidate c to the left.
+    All candidate features are searched in one pass: gains[c, k] is the gain
+    of sending the k + 1 smallest values of candidate c to the left. Each
+    row's key packs its column rank (`_rank_columns(X)`) above its position
+    in `idx`. The keys are unique, so sorting them orders the rows by value
+    with ties in node order, as a stable argsort of the values would.
     """
     features = np.asarray(features, dtype=np.int64)
     yi = y[idx]
@@ -103,56 +143,58 @@ def _best_split(X, y, idx, features):
     total_sum = yi.sum()
     total_sq = (yi**2).sum()
     parent_sse = total_sq - total_sum**2 / n
-    xv = X[np.ix_(idx, features)]
-    order = np.argsort(xv, axis=0, kind="stable")
-    xs = np.take_along_axis(xv, order, axis=0)
-    sl = np.cumsum(yi[order], axis=0)[:-1]
-    nl = np.arange(1, n)[:, None]
-    sr = total_sum - sl
-    gains = parent_sse - (total_sq - sl**2 / nl - sr**2 / (n - nl))
-    distinct = xs[1:] != xs[:-1]
-    gains[~distinct] = -np.inf
-    cuts = gains.argmax(axis=0)
-    col_gains = gains[cuts, np.arange(features.size)].tolist()
+    shift = n.bit_length()
+    keys = ranks[:, idx][features]
+    keys <<= shift
+    keys |= np.arange(n)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    distinct = keys[:, 1:] != keys[:, :-1]
+    sl = yi[order[:, :-1]]
+    np.cumsum(sl, axis=1, out=sl)
+    nl = np.arange(1, n)
+    # parent_sse - (total_sq - sl**2 / nl - sr**2 / (n - nl)), in place
+    sr = np.subtract(total_sum, sl)
+    gains = np.square(sl)
+    gains /= nl
+    np.square(sr, out=sr)
+    sr /= n - nl
+    np.subtract(total_sq, gains, out=gains)
+    gains -= sr
+    np.subtract(parent_sse, gains, out=gains)
+    np.putmask(gains, ~distinct, -np.inf)
+    cuts = gains.argmax(axis=1)
+    col_gains = gains[np.arange(features.size), cuts].tolist()
     best, j = None, None
     # Sequential, so a later feature must beat the best so far by 1e-15.
     for c, (gain, has_cut) in enumerate(zip(col_gains,
-                                            distinct.any(axis=0).tolist())):
+                                            distinct.any(axis=1).tolist())):
         if has_cut and (best is None or gain > best + 1e-15):
             best, j = gain, c
     if j is None:
         return None
     k = cuts[j]
-    thr = (xs[k, j] + xs[k + 1, j]) / 2.0
-    return best, features[j], thr, order[:, j], k + 1
+    f = features[j]
+    lo, hi = idx[order[j, k:k + 2]]
+    thr = (X[lo, f] + X[hi, f]) / 2.0
+    return best, f, thr, order[j], k + 1
 
 
-def fit_tree(
-    X,
-    y,
-    max_depth: int | None = None,
-    max_leaf_nodes: int | None = None,
-    features_per_split: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tree:
-    """Fit one regression tree; best-first growth under the leaf budget."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a non-empty 2-D array")
-    if y.shape != (X.shape[0],):
-        raise DimensionError("y length must match X rows")
+def _grow(X, ranks, y, rows, max_depth, max_leaf_nodes, features_per_split,
+          rng) -> Tree:
+    """One tree on the rows `rows` of X (repeats allowed), with `ranks` from
+    `_rank_columns(X)`; best-first growth under the leaf budget."""
     p = X.shape[1]
-    if rng is None:
-        rng = np.random.default_rng(0)
+    every = np.arange(p)
 
     def candidate_features():
         if features_per_split is None or features_per_split >= p:
-            return range(p)
+            return every
         return np.sort(rng.choice(p, size=features_per_split, replace=False))
 
     # One row per node: feature, threshold, left, right, value.
-    nodes = [[-1, 0.0, -1, -1, float(y.mean())]]
+    nodes = [[-1, 0.0, -1, -1, float(y[rows].mean())]]
     heap = []  # equal gains pop in node order, the order of creation
 
     def consider(node, idx, depth):
@@ -160,12 +202,12 @@ def fit_tree(
             return
         if idx.size < 2 or np.ptp(y[idx]) == 0:
             return
-        split = _best_split(X, y, idx, candidate_features())
+        split = _best_split(X, ranks, y, idx, candidate_features())
         if split is None or split[0] <= 0.0:
             return
         heapq.heappush(heap, (-split[0], node, idx, depth, split))
 
-    consider(0, np.arange(X.shape[0]), 0)
+    consider(0, rows, 0)
     while heap:
         # Each split adds one leaf, so n nodes hold n // 2 + 1 leaves.
         if max_leaf_nodes is not None and len(nodes) // 2 + 1 >= max_leaf_nodes:
@@ -179,6 +221,21 @@ def fit_tree(
         consider(len(nodes) - 2, left_idx, depth + 1)
         consider(len(nodes) - 1, right_idx, depth + 1)
     return Tree(*(np.array(col) for col in zip(*nodes)))
+
+
+def fit_tree(
+    X,
+    y,
+    max_depth: int | None = None,
+    max_leaf_nodes: int | None = None,
+    features_per_split: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> Tree:
+    """Fit one regression tree; best-first growth under the leaf budget."""
+    X, y = _fit_input(X, y)
+    return _grow(X, _rank_columns(X), y, np.arange(X.shape[0]), max_depth,
+                 max_leaf_nodes, features_per_split,
+                 np.random.default_rng(0) if rng is None else rng)
 
 
 def _walk(tree: Tree, X: np.ndarray, node: np.ndarray,
@@ -239,8 +296,10 @@ def _check_input(model: TrainedRegressor, X) -> np.ndarray:
 # --------------------------------------------------------------- forest
 
 def fit_rf(X, y, config: RfConfig) -> TrainedRegressor:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Bagged trees, each grown on its bootstrap's row indexes over one
+    ranking of X."""
+    X, y = _fit_input(X, y)
+    ranks = _rank_columns(X)
     p = X.shape[1]
     fps = math.ceil(p / 3)
     master = np.random.default_rng(config.seed)
@@ -248,15 +307,8 @@ def fit_rf(X, y, config: RfConfig) -> TrainedRegressor:
     for _ in range(config.n_estimators):
         tree_rng = np.random.default_rng(master.integers(0, 2**63))
         idx = tree_rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(
-            fit_tree(
-                X[idx], y[idx],
-                max_depth=RF_MAX_DEPTH,
-                max_leaf_nodes=RF_MAX_LEAF_NODES,
-                features_per_split=fps,
-                rng=tree_rng,
-            )
-        )
+        trees.append(_grow(X, ranks, y, idx, RF_MAX_DEPTH, RF_MAX_LEAF_NODES,
+                           fps, tree_rng))
     return TrainedRegressor("rf", {"trees": trees}, p)
 
 
@@ -269,15 +321,17 @@ def predict_rf(model: TrainedRegressor, X):
 # ------------------------------------------------------------- boosting
 
 def fit_gbt(X, y, config: GbtConfig) -> TrainedRegressor:
-    """Stagewise squared-error boosting: each tree fits the running residual."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Stagewise squared-error boosting: each tree fits the running residual.
+    X is ranked once for all the trees."""
+    X, y = _fit_input(X, y)
+    ranks, rows = _rank_columns(X), np.arange(X.shape[0])
     base = float(y.mean())
     current = np.full(y.shape, base)
     trees = []
     stage_mse = [float(((y - current) ** 2).mean())]
     for _ in range(config.n_estimators):
-        tree = fit_tree(X, y - current, max_depth=config.max_depth)
+        tree = _grow(X, ranks, y - current, rows, config.max_depth,
+                     max_leaf_nodes=None, features_per_split=None, rng=None)
         current = current + config.eta * _predict_trees([tree], X)[0]
         trees.append(tree)
         stage_mse.append(float(((y - current) ** 2).mean()))
@@ -337,8 +391,7 @@ def fit_mlp_regressor(X, y, config: MlpRegConfig) -> TrainedRegressor:
     """Single-hidden-layer ReLU net on z-scored features and z-scored
     targets, full-batch Adam. The target's mean and scale are folded into
     the output layer, so the net predicts heights directly."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X, y = _fit_input(X, y)
     mu = X.mean(axis=0)
     # ptp, not std, tells a constant column or target: one whose mean
     # rounds has std > 0 (5.6e-17 for a column of 0.3)

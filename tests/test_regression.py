@@ -1,4 +1,7 @@
+import functools
+import heapq
 import json
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +75,104 @@ def loop_best_split(X, y, idx, features):
     return best
 
 
+def argsort_best_split(X, y, idx, features):
+    """Frozen float-argsort split search: a stable argsort of the node's
+    (rows, features) values, as `_best_split` did before it sorted packed
+    rank keys."""
+    features = np.asarray(features, dtype=np.int64)
+    yi = y[idx]
+    n = idx.size
+    total_sum = yi.sum()
+    total_sq = (yi**2).sum()
+    parent_sse = total_sq - total_sum**2 / n
+    xv = X[np.ix_(idx, features)]
+    order = np.argsort(xv, axis=0, kind="stable")
+    xs = np.take_along_axis(xv, order, axis=0)
+    sl = np.cumsum(yi[order], axis=0)[:-1]
+    nl = np.arange(1, n)[:, None]
+    sr = total_sum - sl
+    gains = parent_sse - (total_sq - sl**2 / nl - sr**2 / (n - nl))
+    distinct = xs[1:] != xs[:-1]
+    gains[~distinct] = -np.inf
+    cuts = gains.argmax(axis=0)
+    col_gains = gains[cuts, np.arange(features.size)].tolist()
+    best, j = None, None
+    for c, (gain, has_cut) in enumerate(zip(col_gains,
+                                            distinct.any(axis=0).tolist())):
+        if has_cut and (best is None or gain > best + 1e-15):
+            best, j = gain, c
+    if j is None:
+        return None
+    k = cuts[j]
+    thr = (xs[k, j] + xs[k + 1, j]) / 2.0
+    return best, features[j], thr, order[:, j], k + 1
+
+
+def argsort_fit_tree(X, y, max_depth, max_leaf_nodes, features_per_split,
+                     rng):
+    """Frozen `fit_tree` over `argsort_best_split`, on its own copy of the
+    rows."""
+    p = X.shape[1]
+
+    def candidate_features():
+        if features_per_split is None or features_per_split >= p:
+            return range(p)
+        return np.sort(rng.choice(p, size=features_per_split, replace=False))
+
+    nodes = [[-1, 0.0, -1, -1, float(y.mean())]]
+    heap = []
+
+    def consider(node, idx, depth):
+        if max_depth is not None and depth >= max_depth:
+            return
+        if idx.size < 2 or np.ptp(y[idx]) == 0:
+            return
+        split = argsort_best_split(X, y, idx, candidate_features())
+        if split is None or split[0] <= 0.0:
+            return
+        heapq.heappush(heap, (-split[0], node, idx, depth, split))
+
+    consider(0, np.arange(X.shape[0]), 0)
+    while heap:
+        if max_leaf_nodes is not None and len(nodes) // 2 + 1 >= max_leaf_nodes:
+            break
+        _, node, idx, depth, (gain, f, thr, order, cut) = heapq.heappop(heap)
+        left_idx = idx[order[:cut]]
+        right_idx = idx[order[cut:]]
+        nodes[node][:4] = f, thr, len(nodes), len(nodes) + 1
+        nodes += [[-1, 0.0, -1, -1, float(y[i].mean())]
+                  for i in (left_idx, right_idx)]
+        consider(len(nodes) - 2, left_idx, depth + 1)
+        consider(len(nodes) - 1, right_idx, depth + 1)
+    return reg.Tree(*(np.array(col) for col in zip(*nodes)))
+
+
+def argsort_fit(kind, X, y, config):
+    """Frozen `fit_rf` and `fit_gbt`: every tree through `argsort_fit_tree`,
+    a forest tree on a copy of its bootstrap rows."""
+    if kind == "rf":
+        fps = math.ceil(X.shape[1] / 3)
+        master = np.random.default_rng(config.seed)
+        trees = []
+        for _ in range(config.n_estimators):
+            tree_rng = np.random.default_rng(master.integers(0, 2**63))
+            idx = tree_rng.integers(0, X.shape[0], size=X.shape[0])
+            trees.append(argsort_fit_tree(X[idx], y[idx], reg.RF_MAX_DEPTH,
+                                          reg.RF_MAX_LEAF_NODES, fps,
+                                          tree_rng))
+        return reg.TrainedRegressor("rf", {"trees": trees}, X.shape[1])
+    base = float(y.mean())
+    current = np.full(y.shape, base)
+    trees = []
+    for _ in range(config.n_estimators):
+        tree = argsort_fit_tree(X, y - current, config.max_depth, None, None,
+                                None)
+        current = current + config.eta * _predict_trees([tree], X)[0]
+        trees.append(tree)
+    payload = {"base": base, "trees": trees, "eta": config.eta}
+    return reg.TrainedRegressor("gbt", payload, X.shape[1])
+
+
 def loop_permutation_importance(model, X, y, repeats, seed):
     """Reference importance: one predict call per permuted copy."""
     def r2(pred):
@@ -101,6 +202,111 @@ def tied_fixture(seed=0, n=80):
     X[:, 7] = X[:, 2]
     y = X[:, 2] - 0.5 * X[:, 5] + 0.3 * rng.normal(size=n)
     return X, y
+
+
+def signed_zero_fixture(seed=0, n=80):
+    """`tied_fixture` with half of its zeros made -0.0, which ties with
+    0.0."""
+    X, y = tied_fixture(seed, n)
+    zeros = X == 0
+    X[zeros] = np.where(np.random.default_rng(seed).random(zeros.sum()) < 0.5,
+                        -0.0, 0.0)
+    return X, y
+
+
+@functools.lru_cache(maxsize=1)
+def default_tables():
+    """Seed-1 default dataset: ((X, y) of the first 9 subjects, (X, y) of
+    the tenth), 145 features per row."""
+    from jumppipe import dataio, evaluation
+    from jumppipe.segmentation import DEFAULT_ROI_WIDTH
+    sessions, heights = dataio.synth_generate(dataio.SyntheticConfig(seed=1))
+    held_out = sessions[-1].subject_id
+    return tuple(evaluation.feature_table(
+        [s for s in sessions if (s.subject_id == held_out) == test],
+        heights, DEFAULT_ROI_WIDTH) for test in (False, True))
+
+
+FIT_INPUTS = {
+    "fit_tree": lambda X, y: fit_tree(X, y),
+    "rf": lambda X, y: fit_rf(X, y, RfConfig(n_estimators=2)),
+    "gbt": lambda X, y: fit_gbt(X, y, GbtConfig(n_estimators=2)),
+    "mlp": lambda X, y: fit_mlp_regressor(X, y, MlpRegConfig(max_iter=2)),
+}
+
+
+class TestFitInput:
+    """Every fitter checks X and y once, before any tree or step."""
+
+    @pytest.mark.parametrize("fitter", FIT_INPUTS)
+    @pytest.mark.parametrize("rows", [25, 15])
+    def test_target_count_must_match_rows(self, fitter, rows):
+        X, y = linear_fixture(n=20, p=3)
+        y = np.resize(y, rows)
+        with pytest.raises(DimensionError, match=f"shape \\({rows},\\), X "
+                                                 f"has 20 rows"):
+            FIT_INPUTS[fitter](X, y)
+
+    @pytest.mark.parametrize("fitter", FIT_INPUTS)
+    def test_two_dimensional_target_rejected(self, fitter):
+        X, y = linear_fixture(n=20, p=3)
+        with pytest.raises(DimensionError, match="one target per row"):
+            FIT_INPUTS[fitter](X, y[:, None])
+
+    @pytest.mark.parametrize("fitter", FIT_INPUTS)
+    @pytest.mark.parametrize("X", [np.zeros(20), np.zeros((0, 3)),
+                                   np.zeros((20, 0)), np.zeros((2, 10, 1))])
+    def test_x_must_be_non_empty_2d(self, fitter, X):
+        with pytest.raises(ValueError, match="non-empty 2-D array, got shape"):
+            FIT_INPUTS[fitter](X, np.zeros(len(X)))
+
+    @pytest.mark.parametrize("fitter", FIT_INPUTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, fitter, bad):
+        X, y = linear_fixture(n=20, p=3)
+        X[7, 2] = bad
+        with pytest.raises(ValueError,
+                           match=f"X\\[7, 2\\] is {bad}, not finite"):
+            FIT_INPUTS[fitter](X, y)
+
+    @pytest.mark.parametrize("fitter", FIT_INPUTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, fitter, bad):
+        X, y = linear_fixture(n=20, p=3)
+        y[4] = bad
+        with pytest.raises(ValueError, match=f"y\\[4\\] is {bad}, not finite"):
+            FIT_INPUTS[fitter](X, y)
+
+
+class TestRankKeys:
+    """The packed-rank split search against the frozen float-argsort one."""
+
+    def test_ranks_share_equal_values_and_keep_order(self):
+        X = np.array([[0.5, -0.0], [-1.0, 0.0], [0.5, 2.0], [3.0, 0.0]])
+        assert reg._rank_columns(X).tolist() == [[1, 0, 1, 2], [0, 0, 1, 0]]
+
+    @pytest.mark.parametrize("kind", ["rf", "gbt"])
+    @pytest.mark.parametrize("table", ["default", "tied", "signed_zero"])
+    def test_checkpoint_bytes_match_argsort_reference(self, kind, table):
+        X, y = {"default": lambda: default_tables()[0],
+                "tied": tied_fixture,
+                "signed_zero": signed_zero_fixture}[table]()
+        config = RfConfig() if kind == "rf" else GbtConfig()
+        got = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
+        want = json.dumps(reg.to_doc(argsort_fit(kind, X, y, config)))
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["rf", "gbt"])
+    def test_columns_ranked_once_per_ensemble(self, kind, monkeypatch):
+        calls = []
+        rank = reg._rank_columns
+        monkeypatch.setattr(reg, "_rank_columns",
+                            lambda X: calls.append(X.shape) or rank(X))
+        X, y = tied_fixture()
+        config = (RfConfig(n_estimators=7) if kind == "rf"
+                  else GbtConfig(n_estimators=7))
+        reg.fit(kind, X, y, config)
+        assert calls == [X.shape]
 
 
 class TestTree:
@@ -177,7 +383,7 @@ class TestTree:
             st.just(range(p))
             | st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
                        unique=True).map(np.array))
-        got = reg._best_split(X, y, idx, features)
+        got = reg._best_split(X, reg._rank_columns(X), y, idx, features)
         want = loop_best_split(X, y, idx, features)
         if want is None:
             assert got is None
@@ -193,7 +399,9 @@ class TestTree:
         config = (RfConfig(n_estimators=10, seed=3) if kind == "rf"
                   else GbtConfig(n_estimators=15, max_depth=4))
         got = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
-        monkeypatch.setattr(reg, "_best_split", loop_best_split)
+        monkeypatch.setattr(reg, "_best_split",
+                            lambda X, ranks, y, idx, features:
+                            loop_best_split(X, y, idx, features))
         want = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
         assert got == want
 
@@ -380,14 +588,7 @@ class TestMlp:
         """Default MLP, default seed-1 dataset: fit on 9 subjects, predict
         the tenth. Fit on raw heights for 8000 iterations it erred by
         0.039 m; on standardised heights for 500, by 0.016 m."""
-        from jumppipe import dataio, evaluation
-        from jumppipe.segmentation import DEFAULT_ROI_WIDTH
-        sessions, heights = dataio.synth_generate(dataio.SyntheticConfig(seed=1))
-        held_out = sessions[-1].subject_id
-        tables = [evaluation.feature_table(
-            [s for s in sessions if (s.subject_id == held_out) == test],
-            heights, DEFAULT_ROI_WIDTH) for test in (False, True)]
-        (X, y), (X_test, y_test) = tables
+        (X, y), (X_test, y_test) = default_tables()
         model = fit_mlp_regressor(X, y, MlpRegConfig())
         rmse = np.sqrt(((predict_mlp(model, X_test) - y_test) ** 2).mean())
         assert rmse <= 0.025
