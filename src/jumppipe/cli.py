@@ -101,7 +101,7 @@ def _tcn_config(args) -> tcn.MsTcnConfig:
 
 # ------------------------------------------------------------- subcommands
 # A command reads its inputs, writes each output to the path `out(name)`
-# gives it and returns (config echo, log message); `_run` does the rest.
+# gives it and returns its log message; `_run` does the rest.
 
 def _cmd_synth(args, out):
     cfg = dataio.SyntheticConfig(
@@ -114,9 +114,7 @@ def _cmd_synth(args, out):
     for sess in sessions:
         dataio.write_session_csv(sess, out(f"{sess.subject_id}.csv"))
     dataio.write_heights(heights, out("heights.csv"))
-    return ({"subjects": args.subjects, "duration_s": args.duration,
-             "noise_std_g": args.noise, "seed": args.seed},
-            f"{len(sessions)} sessions + heights")
+    return f"{len(sessions)} sessions + heights"
 
 
 def _cmd_train(args, out):
@@ -126,9 +124,8 @@ def _cmd_train(args, out):
          f"({config.num_stages} stages, {config.stage.num_layers} layers)")
     weights, history = tcn.train(config, sessions)
     dataio.save_checkpoint(weights, out("model.ckpt"))
-    return ({**tcn.config_to_doc(config),
-             "final_loss": history[-1] if history else None},
-            "trained MS-TCN")
+    loss = f", final loss {history[-1]:.6g}" if history else ""
+    return f"trained MS-TCN{loss}"
 
 
 def _cmd_predict(args, out):
@@ -139,8 +136,7 @@ def _cmd_predict(args, out):
         seg.extract_segments(labels), args.min_duration
     )
     dataio.write_annotations(segments, out("pred_segments.csv"))
-    return ({"min_duration": args.min_duration},
-            f"{len(segments)} predicted segments")
+    return f"{len(segments)} predicted segments"
 
 
 def _cmd_eval_seg(args, out):
@@ -149,7 +145,7 @@ def _cmd_eval_seg(args, out):
     match = seg.match_segments(pred, truth, args.threshold)
     metrics = evaluation.precision_recall_f1(match)
     _write_json(out("seg_metrics.json"), evaluation.seg_metrics_to_dict(metrics))
-    return {"threshold": args.threshold}, f"overall F1 = {metrics.overall.f1:.4f}"
+    return f"overall F1 = {metrics.overall.f1:.4f}"
 
 
 def _cmd_extract_features(args, out):
@@ -157,7 +153,7 @@ def _cmd_extract_features(args, out):
     with _blame(heights_path, evaluation.MissingHeightError):
         X, y = evaluation.feature_table(sessions, heights, args.width)
     dataio.write_feature_csv(X, y, out("features.csv"))
-    return {"width": args.width}, f"{X.shape[0]} feature rows"
+    return f"{X.shape[0]} feature rows"
 
 
 def _cmd_fit_reg(args, out):
@@ -169,8 +165,7 @@ def _cmd_fit_reg(args, out):
     }
     model = regression.fit(args.kind, X, y, configs[args.kind])
     dataio.save_checkpoint(model, out("regressor.ckpt"))
-    return ({"kind": args.kind, "seed": args.seed},
-            f"fitted {args.kind} on {X.shape[0]} rows")
+    return f"fitted {args.kind} on {X.shape[0]} rows"
 
 
 def _cmd_eval_reg(args, out):
@@ -180,7 +175,7 @@ def _cmd_eval_reg(args, out):
     with _blame(f"{args.model} on {args.features}", ValueError):
         metrics = evaluation.reg_metrics(y, regression.predict(model, X))
     _write_json(out("reg_metrics.json"), asdict(metrics))
-    return {}, f"R2 = {metrics.r2:.4f}, RMSE = {metrics.rmse:.4f} m"
+    return f"R2 = {metrics.r2:.4f}, RMSE = {metrics.rmse:.4f} m"
 
 
 def _cmd_pipeline(args, out):
@@ -201,25 +196,27 @@ def _cmd_pipeline(args, out):
     height = (f"R2 = {reg.r2:.4f}" if reg else
               f"no height metrics: {overall.tp} true-positive jumps, "
               f"at least 2 needed")
-    return report.config_echo, f"F1 = {overall.f1:.4f}, {height}"
+    return f"F1 = {overall.f1:.4f}, {height}"
 
 
 def _cmd_importance(args, out):
     model = _load_model(args.model, "regressor")
     X, y = dataio.read_feature_csv(args.features)
     with _blame(args.features, ValueError):  # constant heights
-        ranked = regression.permutation_importance(model, X, y,
+        ranked = evaluation.permutation_importance(model, X, y,
                                                    repeats=args.repeats,
                                                    seed=args.seed)
     names = features.feature_names()
     dataio.write_csv(out("importance.csv"), ["feature", "importance"],
                      ((names[j], v) for j, v in ranked))
-    return {"repeats": args.repeats, "seed": args.seed}, "importance ranking"
+    return "importance ranking"
 
 
 def _run(args) -> int:
     """Run a command: create `--out` when the command asks for its first
-    output path, then write the manifest and log the command's message."""
+    output path, then write the manifest, whose config holds the value of
+    each flag that `COMMANDS` declares for the command, and log the
+    command's message."""
     outputs = []
 
     def out(name):
@@ -227,15 +224,16 @@ def _run(args) -> int:
         outputs.append(os.path.join(args.out, name))
         return outputs[-1]
 
-    func, _, inputs, _ = COMMANDS[args.command]
+    func, _, inputs, flags = COMMANDS[args.command]
     for flag, least in (("width", 4), ("min_duration", 0),  # 4 for kurtosis
                         ("repeats", 1)):
         if getattr(args, flag, least) < least:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
-    config, message = func(args, out)
+    message = func(args, out)
+    dests = [flag.replace("-", "_") for flag in flags]
     _write_json(os.path.join(args.out, "manifest.json"), {
         "command": args.command,
-        "config": config,
+        "config": {dest: getattr(args, dest) for dest in dests},
         "inputs": [getattr(args, name) for name in inputs],
         "outputs": outputs,
         "versions": {

@@ -2,8 +2,9 @@
 
 Covers Bland-Altman limits of agreement on per-subject jump counts,
 IoU-thresholded segment precision/recall/F1, the height-regression metrics
-(R^2, RMSE, MAPE, Pearson r) and the end-to-end pipeline evaluation that
-chains detection, feature extraction and regression per LOSO fold.
+(R^2, RMSE, MAPE, Pearson r), permutation feature importance, and the
+end-to-end pipeline evaluation that chains detection, feature extraction
+and regression per LOSO fold.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ class RegMetrics:
 
 
 @dataclass
-class LosoFold:
-    fold_index: int
-    train_subjects: list
-    test_subject: str
-
-
-@dataclass
 class EvalReport:
     seg_metrics: SegMetrics
     count_loa: dict  # class name (+ "total") -> AgreementStats
@@ -118,14 +112,20 @@ def precision_recall_f1(
     return SegMetrics(per_class, overall, match.threshold)
 
 
-def r_squared(truth, pred) -> float:
+def _r2_truth(truth) -> np.ndarray:
+    """`truth` as float64, refused where R^2 is undefined for it."""
     truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
     if truth.size < 2:
         raise ValueError("r_squared needs at least 2 points")
-    ss_tot = ((truth - truth.mean()) ** 2).sum()
-    if np.ptp(truth) == 0:  # ss_tot may round to nonzero
+    if np.ptp(truth) == 0:  # its sum of squares may round to nonzero
         raise ValueError("r_squared undefined for constant truth")
+    return truth
+
+
+def r_squared(truth, pred) -> float:
+    truth = _r2_truth(truth)
+    pred = np.asarray(pred, dtype=np.float64)
+    ss_tot = ((truth - truth.mean()) ** 2).sum()
     return float(1.0 - ((truth - pred) ** 2).sum() / ss_tot)
 
 
@@ -167,6 +167,36 @@ def reg_metrics(truth, pred) -> RegMetrics:
     )
 
 
+def permutation_importance(model, X, y, repeats: int,
+                           seed: int) -> list[tuple[int, float]]:
+    """Per-feature drop in R^2 when the feature column is shuffled, the mean
+    over `repeats` permutations. One predict call per feature takes all its
+    permuted repeats stacked together.
+
+    Returns (feature index, importance) pairs sorted by descending
+    importance, ties broken by feature index.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    y = _r2_truth(y)  # before any prediction
+    baseline = r_squared(y, regression.predict(model, X))
+    rng = np.random.default_rng(seed)
+    # The repeats of one column are stacked and predicted together; stacking
+    # every column too would hold repeats * rows * features**2 values.
+    stacked = np.tile(X, (repeats, 1))
+    importances = []
+    for j in range(X.shape[1]):
+        stacked[:, j] = np.concatenate([rng.permutation(X[:, j])
+                                        for _ in range(repeats)])
+        preds = regression.predict(model, stacked).reshape(repeats, -1)
+        stacked[:, j] = np.tile(X[:, j], repeats)
+        drops = [baseline - r_squared(y, pred) for pred in preds]
+        importances.append((j, float(np.mean(drops))))
+    importances.sort(key=lambda t: (-t[1], t[0]))
+    return importances
+
+
 def bland_altman_points(truth, pred):
     """Plot-ready (mean, diff) pairs plus agreement stats over the diffs."""
     truth = np.asarray(truth, dtype=np.float64)
@@ -175,19 +205,6 @@ def bland_altman_points(truth, pred):
         raise ValueError("bland_altman_points needs at least 2 points")
     points = [((t + p) / 2.0, t - p) for t, p in zip(truth, pred)]
     return points, limits_of_agreement(truth, pred)
-
-
-def loso_split(subject_ids) -> list[LosoFold]:
-    """One fold per subject, in subject-id order."""
-    ids = list(subject_ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate subject ids")
-    if len(ids) < 2:
-        raise ValueError("LOSO needs at least 2 subjects")
-    folds = []
-    for k, sid in enumerate(ids):
-        folds.append(LosoFold(k, [s for s in ids if s != sid], sid))
-    return folds
 
 
 def _height_lookup(height_records) -> dict:
@@ -208,6 +225,14 @@ def _height_of(heights, subject_id, segment) -> float:
     return heights[key]
 
 
+def _window_features(session, segment, width: int) -> np.ndarray:
+    """The feature vector of the `width`-sample ROI window around a segment
+    of the session."""
+    roi = segmentation.select_roi(segment, session.samples.shape[0], width)
+    window = segmentation.roi_window(roi, session.samples)
+    return feat.extract_feature_vector(window, segment.class_id)
+
+
 def feature_table(sessions, height_records, width: int):
     """Feature matrix + height targets of every annotated height-eligible
     segment, session by session in temporal order (zero rows if none)."""
@@ -219,9 +244,7 @@ def feature_table(sessions, height_records, width: int):
         for seg in segmentation.extract_segments(sess.labels):
             if DEFAULT_VOCAB.is_jump(seg.class_id):
                 y.append(_height_of(heights, sess.subject_id, seg))
-                roi = segmentation.select_roi(seg, sess.samples.shape[0], width)
-                window = segmentation.roi_window(roi, sess.samples)
-                X.append(feat.extract_feature_vector(window, seg.class_id))
+                X.append(_window_features(sess, seg, width))
     n_features = len(feat.feature_names())
     return np.asarray(X).reshape(-1, n_features), np.asarray(y)
 
@@ -247,27 +270,29 @@ def run_pipeline_eval(
     """
     segmentation.check_iou_threshold(threshold)
     sessions = list(sessions)
+    ids = [s.subject_id for s in sessions]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate subject ids")
+    if len(ids) < 2:
+        raise ValueError("LOSO needs at least 2 subjects")
     heights = _height_lookup(height_records)
-    folds = loso_split(s.subject_id for s in sessions)
     # Every subject's table, built once for all folds: an unlabeled session, a
     # missing height or a fold with no training jump fails before training.
-    tables = {s.subject_id: feature_table([s], height_records, width)
-              for s in sessions}
-    for fold in folds:
-        if not any(tables[s][1].size for s in fold.train_subjects):
-            raise ValueError(f"fold {fold.fold_index + 1}/{len(folds)} (test "
-                             f"subject {fold.test_subject}): no training "
-                             f"subject has a height-eligible jump")
+    tables = [feature_table([s], height_records, width) for s in sessions]
+    for k, test_id in enumerate(ids):
+        if not any(y.size for _, y in tables[:k] + tables[k + 1:]):
+            raise ValueError(f"fold {k + 1}/{len(ids)} (test subject "
+                             f"{test_id}): no training subject has a "
+                             f"height-eligible jump")
 
     tp, fp, fn = Counter(), Counter(), Counter()
     fold_counts = []  # (truth, predicted) jump counts of each fold
     pooled_truth_h, pooled_pred_h = [], []
-    for fold, test_session in zip(folds, sessions):
+    # Fold k holds out subject k and trains on the others, in id order.
+    for k, test_session in enumerate(sessions):
         if progress:
-            progress(f"fold {fold.fold_index + 1}/{len(folds)}: "
-                     f"test subject {fold.test_subject}")
-        train_sessions = [s for s in sessions if s is not test_session]
-        weights, _ = tcn.train(tcn_config, train_sessions)
+            progress(f"fold {k + 1}/{len(ids)}: test subject {ids[k]}")
+        weights, _ = tcn.train(tcn_config, sessions[:k] + sessions[k + 1:])
         _, pred_labels = tcn.predict(weights, test_session)
         pred_segments = segmentation.min_duration_filter(
             segmentation.extract_segments(pred_labels), min_duration
@@ -281,18 +306,14 @@ def run_pipeline_eval(
         fold_counts.append((segmentation.jump_counts(truth_segments),
                             segmentation.jump_counts(pred_segments)))
 
-        X_train, y_train = map(np.concatenate, zip(
-            *[tables[s] for s in fold.train_subjects]))
+        X_train, y_train = map(np.concatenate,
+                               zip(*tables[:k], *tables[k + 1:]))
         model = regression.fit(regressor_kind, X_train, y_train, None)
-        n = test_session.samples.shape[0]
         for pred_seg, truth_seg, _ in match.pairs:
             if not DEFAULT_VOCAB.is_jump(truth_seg.class_id):
                 continue
-            pooled_truth_h.append(
-                _height_of(heights, fold.test_subject, truth_seg))
-            roi = segmentation.select_roi(pred_seg, n, width)
-            window = segmentation.roi_window(roi, test_session.samples)
-            vec = feat.extract_feature_vector(window, pred_seg.class_id)
+            pooled_truth_h.append(_height_of(heights, ids[k], truth_seg))
+            vec = _window_features(test_session, pred_seg, width)
             pooled_pred_h.append(regression.predict(model, vec))
 
     seg = precision_recall_f1(

@@ -88,15 +88,6 @@ def _entropy_of_power(power: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum() / np.log(p.size))
 
 
-def spectral_entropy(signal) -> float:
-    """Normalized Shannon entropy of the power spectrum, in [0, 1].
-
-    A zero spectrum (constant signal) maps to 0.
-    """
-    _, power = power_spectrum(signal)
-    return _entropy_of_power(power)
-
-
 @functools.lru_cache(maxsize=64)
 def _window_axes(n: int):
     """What `_time_features` needs per width, as numpy computes it:
@@ -199,12 +190,6 @@ def _channel_features(X: np.ndarray) -> np.ndarray:
     if X.shape[1] < 4:
         raise ValueError("need at least 4 samples (kurtosis)")
     return np.concatenate([_time_features(X), _freq_features(X)], axis=1)
-
-
-def extract_channel_features(signal) -> np.ndarray:
-    """The 24 catalog features of one channel, in catalog order."""
-    x = np.asarray(signal, dtype=np.float64)
-    return _channel_features(x.reshape(1, -1))[0]
 
 
 def feature_names() -> list[str]:

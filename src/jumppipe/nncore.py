@@ -40,7 +40,7 @@ class ConvKernel:
 
     weights: np.ndarray  # (kernel_size, in_channels, out_channels)
     bias: np.ndarray     # (out_channels,)
-    dilation: int = 1
+    dilation: int
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)

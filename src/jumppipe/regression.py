@@ -1,6 +1,5 @@
 """Jump-height regressors: random forest, gradient-boosted trees and a small
-MLP, all fit on the 145-dimensional feature vectors, plus permutation-based
-feature importance.
+MLP, all fit on the 145-dimensional feature vectors.
 
 Trees are CART-style with the squared-error criterion: greedy best split by
 sum-of-squared-error reduction, midpoint split candidates, best-first growth
@@ -10,8 +9,6 @@ floats: a fit ranks every column of X once (an ensemble once for all its
 trees), and a node sorts keys that pack each row's rank above its position
 in the node, which orders the rows as a stable argsort of the values would.
 Every fitter refuses a non-finite or misshapen X or y before any work.
-Permutation importance makes one predict call per feature, over all its
-permuted repeats stacked together.
 """
 
 from __future__ import annotations
@@ -221,21 +218,6 @@ def _grow(X, ranks, y, rows, max_depth, max_leaf_nodes, features_per_split,
         consider(len(nodes) - 2, left_idx, depth + 1)
         consider(len(nodes) - 1, right_idx, depth + 1)
     return Tree(*(np.array(col) for col in zip(*nodes)))
-
-
-def fit_tree(
-    X,
-    y,
-    max_depth: int | None = None,
-    max_leaf_nodes: int | None = None,
-    features_per_split: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tree:
-    """Fit one regression tree; best-first growth under the leaf budget."""
-    X, y = _fit_input(X, y)
-    return _grow(X, _rank_columns(X), y, np.arange(X.shape[0]), max_depth,
-                 max_leaf_nodes, features_per_split,
-                 np.random.default_rng(0) if rng is None else rng)
 
 
 def _walk(tree: Tree, X: np.ndarray, node: np.ndarray,
@@ -549,42 +531,3 @@ def from_doc(kind, doc: dict) -> TrainedRegressor:
         if not payload["layers"] or width != 1:
             raise ValueError("field 'layers' must end in one output")
     return TrainedRegressor(kind, payload, input_dim)
-
-
-# --------------------------------------------------------- importance
-
-def permutation_importance(
-    model: TrainedRegressor, X, y, repeats: int, seed: int
-) -> list[tuple[int, float]]:
-    """Per-feature drop in R^2 when the feature column is shuffled.
-
-    Returns (feature index, importance) pairs sorted by descending
-    importance, ties broken by feature index.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if np.ptp(y) == 0:
-        raise ValueError("permutation importance undefined for constant "
-                         "targets (R^2 has no variance to explain)")
-
-    def r2(pred):
-        ss_tot = ((y - y.mean()) ** 2).sum()
-        return 1.0 - ((y - pred) ** 2).sum() / ss_tot
-
-    baseline = r2(predict(model, X))
-    rng = np.random.default_rng(seed)
-    # The repeats of one column are stacked and predicted together; stacking
-    # every column too would hold repeats * rows * features**2 values.
-    stacked = np.tile(X, (repeats, 1))
-    importances = []
-    for j in range(X.shape[1]):
-        stacked[:, j] = np.concatenate([rng.permutation(X[:, j])
-                                        for _ in range(repeats)])
-        preds = predict(model, stacked).reshape(repeats, -1)
-        stacked[:, j] = np.tile(X[:, j], repeats)
-        drops = [baseline - r2(pred) for pred in preds]
-        importances.append((j, float(np.mean(drops))))
-    importances.sort(key=lambda t: (-t[1], t[0]))
-    return importances

@@ -127,20 +127,6 @@ def extract_segments(labels, vocab: ClassVocabulary = DEFAULT_VOCAB) -> list[Seg
                                                  classes[keep].tolist())]
 
 
-def segments_to_labels(segments, length: int) -> np.ndarray:
-    """Inverse of extract_segments; background everywhere else."""
-    labels = np.zeros(length, dtype=np.int64)
-    occupied = np.zeros(length, dtype=bool)
-    for seg in segments:
-        if seg.end > length:
-            raise ValueError(f"segment {seg} exceeds sequence length {length}")
-        if occupied[seg.start : seg.end].any():
-            raise ValueError(f"segment {seg} overlaps another segment")
-        occupied[seg.start : seg.end] = True
-        labels[seg.start : seg.end] = seg.class_id
-    return labels
-
-
 def min_duration_filter(segments, min_len: int = DEFAULT_MIN_DURATION) -> list[Segment]:
     """Drop segments shorter than min_len samples, preserving order."""
     return [s for s in segments if s.length >= min_len]

@@ -16,6 +16,7 @@ import glob
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -379,29 +380,43 @@ def _openblas():
     return None
 
 
+# The callers inside `_span_map` that hold OpenBLAS at one thread, and the
+# count they found; `_BLAS_LOCK` guards both.
+_BLAS_LOCK = threading.Lock()
+_blas_users = 0
+_blas_prior = None
+
+
 @contextlib.contextmanager
 def _span_map(spans: int):
     """A `map` for up to `spans` independent spans. With more than one
     usable CPU and span, it runs them on a pool of min(usable CPUs, spans)
     threads with OpenBLAS at one thread, as two threads per product on top
-    of a thread per span oversubscribe the cores; the prior thread count
-    comes back on exit. Else, or where OpenBLAS's setter is not found, it is
-    the builtin map, in the caller's thread. The count is process-wide, so
-    two calls that overlap in time from two threads, which nothing in this
-    package makes, could restore each other's count."""
+    of a thread per span oversubscribe the cores. Else, or where OpenBLAS's
+    setter is not found, it is the builtin map, in the caller's thread. The
+    thread count is process-wide, so pooled calls that overlap in time, from
+    any threads, share it: the first one in saves the count and sets 1, and
+    the last one out restores it, also when a span raises."""
+    global _blas_users, _blas_prior
     workers = min(len(os.sched_getaffinity(0)), spans)
     blas = _openblas() if workers > 1 else None
     if blas is None:
         yield map
         return
     get, set_ = blas
-    prior = get()
-    set_(1)
+    with _BLAS_LOCK:
+        if not _blas_users:
+            _blas_prior = get()
+            set_(1)
+        _blas_users += 1
     try:
         with ThreadPoolExecutor(workers) as pool:
             yield pool.map
     finally:
-        set_(prior)
+        with _BLAS_LOCK:
+            _blas_users -= 1
+            if not _blas_users:
+                set_(_blas_prior)
 
 
 def _predict_rows(weights: ModelWeights, x: np.ndarray) -> np.ndarray:

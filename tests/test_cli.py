@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -574,6 +575,52 @@ def test_manifest_written_by_every_command(chain, tmp_path, command):
         [os.path.basename(p) for p in manifest["outputs"]] + ["manifest.json"])
     assert manifest["versions"]["feature_catalog"] == 1
     assert np.isfinite(manifest["wall_clock_s"])
+    assert sorted(manifest["config"]) == sorted(
+        dest for option, (dest, *_, required) in PARSER_SURFACE[command].items()
+        if not required and option not in _COMMON)
+
+
+# Each command's other flags set away from their defaults, so that a config
+# file that failed to reach them would show.
+ROUND_TRIP_FLAGS = {
+    "synth": ["--seed", "5", "--noise", "0.02"],
+    "train": ["--seed", "3", "--lr", "0.002"],
+    "predict": ["--min-duration", "5"],
+    "eval-seg": ["--threshold", "0.3"],
+    "extract-features": ["--width", "200"],
+    "fit-reg": ["--seed", "3", "--kind", "gbt"],
+    "eval-reg": [],
+    "pipeline": ["--seed", "3", "--regressor", "mlp", "--width", "200",
+                 "--threshold", "0.3", "--min-duration", "5"],
+    "importance": ["--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_config_reproduces_the_outputs(chain, tmp_path, command):
+    """A command run again with its manifest's config as its `--config`
+    file, and with its input paths, writes the same bytes; only the
+    manifest's wall clock differs."""
+    input_flags, extra = COMMANDS[command]
+    inputs = [a for flag, key in input_flags.items()
+              for a in (f"--{flag}", chain[key])]
+    out = tmp_path / "out"
+
+    def run(*flags):
+        if out.exists():
+            shutil.rmtree(out)
+        assert cli_dispatch([command, *inputs, *flags, "--out", str(out)]) \
+            == EXIT_OK
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        del manifest["wall_clock_s"]
+        return files, manifest
+
+    first = run(*extra, *ROUND_TRIP_FLAGS[command])
+    config = tmp_path / "config.txt"
+    config.write_text("".join(f"{key}={value}\n"
+                              for key, value in first[1]["config"].items()))
+    assert run("--config", str(config)) == first
 
 
 # Every flag of every subcommand: option -> (dest, default, type, choices,

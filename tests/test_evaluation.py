@@ -6,7 +6,7 @@ import pytest
 from jumppipe import dataio, evaluation as ev, features as feat
 from jumppipe import segmentation as seg, tcn
 from jumppipe.evaluation import (bland_altman_points, limits_of_agreement,
-                                 loso_split, mape, pearson_r,
+                                 mape, pearson_r,
                                  precision_recall_f1, r_squared, reg_metrics,
                                  rmse, run_pipeline_eval)
 from jumppipe.segmentation import MatchResult
@@ -165,27 +165,59 @@ class TestBlandAltman:
         assert np.mean([d for _, d in points]) == pytest.approx(stats.mean_diff)
 
 
+def loso_folds(num_subjects, monkeypatch, ids=None):
+    """(training subject ids, predicted subject id) of each fold of a
+    stubbed `run_pipeline_eval` over `num_subjects` sessions, renamed to
+    `ids` if given."""
+    sessions, heights = dataio.synth_generate(dataio.SyntheticConfig(
+        num_subjects=num_subjects, jumps_per_class={"CMJ": 1},
+        session_duration_s=6.0, seed=2))
+    if ids is not None:
+        rename = dict(zip((s.subject_id for s in sessions), ids))
+        sessions = [dataio.ImuSession(rename[s.subject_id], s.samples,
+                                      s.labels) for s in sessions]
+        heights = [dataio.HeightRecord(rename[r.subject_id], r.segment,
+                                       r.height_m) for r in heights]
+    trained, tested = [], []
+    monkeypatch.setattr(ev.tcn, "train", lambda cfg, s: trained.append(
+        [x.subject_id for x in s]) or (None, []))
+    monkeypatch.setattr(ev.tcn, "predict", lambda w, s: tested.append(
+        s.subject_id) or (None, s.labels.copy()))
+    monkeypatch.setattr(ev.regression, "fit", lambda k, X, y, c: None)
+    monkeypatch.setattr(ev.regression, "predict", lambda m, x: float(x[0]))
+    run_pipeline_eval(sessions, heights, tcn.MsTcnConfig(epochs=0))
+    return list(zip(trained, tested))
+
+
 class TestLoso:
-    def test_ten_subjects(self):
-        folds = loso_split([f"S{i}" for i in range(10)])
+    """One fold per subject, in subject order: each trains on every other
+    subject and tests the one it holds out."""
+
+    def test_ten_subjects(self, monkeypatch):
+        folds = loso_folds(10, monkeypatch)
         assert len(folds) == 10
-        for f in folds:
-            assert len(f.train_subjects) == 9
-            assert f.test_subject not in f.train_subjects
+        for train_ids, test_id in folds:
+            assert len(train_ids) == 9
+            assert test_id not in train_ids
 
-    def test_two_subjects(self):
-        assert len(loso_split(["a", "b"])) == 2
+    def test_two_subjects(self, monkeypatch):
+        assert loso_folds(2, monkeypatch) == [(["S01"], "S00"),
+                                              (["S00"], "S01")]
 
-    def test_partition_property(self):
-        ids = [f"S{i}" for i in range(7)]
-        folds = loso_split(ids)
-        tests = [f.test_subject for f in folds]
-        assert sorted(tests) == sorted(ids)
-        assert len(set(tests)) == len(ids)
+    def test_partition_property(self, monkeypatch):
+        ids = ["g", "c", "a", "f", "b", "e", "d"]
+        folds = loso_folds(7, monkeypatch, ids)
+        assert [test_id for _, test_id in folds] == ids
+        for k, (train_ids, _) in enumerate(folds):
+            assert train_ids == ids[:k] + ids[k + 1:]
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            loso_split(["a", "a", "b"])
+    def test_duplicates_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="duplicate subject ids"):
+            loso_folds(3, monkeypatch, ["a", "a", "b"])
+
+    def test_one_subject_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="LOSO needs at least 2 subjects"):
+            loso_folds(1, monkeypatch)
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ def naive_conv(x, kernel):
 
 class TestConv1d:
     def test_identity_kernel(self):
-        kernel = ConvKernel(weights=np.eye(3)[None], bias=np.zeros(3))
+        kernel = ConvKernel(weights=np.eye(3)[None], bias=np.zeros(3), dilation=1)
         x = np.random.default_rng(0).normal(size=(7, 3))
         np.testing.assert_allclose(conv1d_dilated(x, kernel), x)
 
@@ -68,13 +68,14 @@ class TestConv1d:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_channel_mismatch(self):
-        kernel = ConvKernel(weights=np.ones((3, 2, 1)), bias=np.zeros(1))
+        kernel = ConvKernel(weights=np.ones((3, 2, 1)), bias=np.zeros(1),
+                            dilation=1)
         with pytest.raises(DimensionError):
             conv1d_dilated(np.zeros((4, 3)), kernel)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            ConvKernel(weights=np.ones((2, 1, 1)), bias=np.zeros(1))
+            ConvKernel(weights=np.ones((2, 1, 1)), bias=np.zeros(1), dilation=1)
 
 
 def padded_conv(x, kernel):
@@ -259,7 +260,8 @@ class TestGradients:
         X = rng.normal(size=(20, 3))
         w = rng.normal(size=(3, 1))
         y = rng.normal(size=(20, 1))
-        kernel = ConvKernel(weights=w[None].copy(), bias=np.zeros(1))
+        kernel = ConvKernel(weights=w[None].copy(), bias=np.zeros(1),
+                            dilation=1)
         pred = conv1d_dilated(X, kernel)
         gy = 2 * (pred - y) / X.shape[0]
         _, gw, _ = conv1d_backward(X, kernel, gy)
@@ -287,7 +289,7 @@ class TestGradients:
         # bias of an output channel the loss never reads
         rng = np.random.default_rng(0)
         kernel = ConvKernel(weights=rng.normal(size=(1, 2, 2)),
-                            bias=rng.normal(size=2))
+                            bias=rng.normal(size=2), dilation=1)
         x = rng.normal(size=(5, 2))
         gy = np.zeros((5, 2))
         gy[:, 0] = 1.0  # loss = sum of channel 0 only

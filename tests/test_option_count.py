@@ -9,6 +9,7 @@ names each value added and removed.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import jumppipe
@@ -30,7 +31,6 @@ EXPECTED_OPTIONS = [
     "nncore:AdamState.first_moment",
     "nncore:AdamState.second_moment",
     "nncore:AdamState.step",
-    "nncore:ConvKernel.dilation",
     "regression:GbtConfig.eta",
     "regression:GbtConfig.max_depth",
     "regression:GbtConfig.n_estimators",
@@ -39,10 +39,6 @@ EXPECTED_OPTIONS = [
     "regression:MlpRegConfig.seed",
     "regression:RfConfig.n_estimators",
     "regression:RfConfig.seed",
-    "regression:fit_tree.features_per_split",
-    "regression:fit_tree.max_depth",
-    "regression:fit_tree.max_leaf_nodes",
-    "regression:fit_tree.rng",
     "segmentation:extract_segments.vocab",
     "segmentation:match_segments.threshold",
     "segmentation:min_duration_filter.min_len",
@@ -98,3 +94,54 @@ def test_settable_value_count_is_pinned():
     assert found == EXPECTED_OPTIONS, (
         f"{len(found)} settable values, expected {len(EXPECTED_OPTIONS)}; "
         f"added: {added}, removed: {removed}")
+
+
+# ------------------------------------------------------- every name has a caller
+
+def _definitions(tree):
+    """(name, node) of each top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _reads(node) -> Counter:
+    """How often the code under `node` reads each name: as a variable, an
+    attribute or an import."""
+    reads = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            reads[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            reads[n.name] += 1
+    return reads
+
+
+def test_every_name_has_a_caller():
+    """Each top-level name of `src/jumppipe` is read by the package itself
+    (outside its own definition), by a `bench/*.py` attribute reference or
+    by the acceptance tests. A name that only other tests read is test code
+    and belongs in the tests."""
+    from test_bench_api import _references
+    tests = Path(__file__).resolve().parent
+    outside = {attr for _, _, attr, _ in _references()}
+    outside |= set(_reads(ast.parse(
+        (tests / "test_acceptance.py").read_text())))
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(jumppipe.__file__).parent.glob("*.py"))}
+    package = sum(map(_reads, trees.values()), Counter())
+    unread = [f"{stem}.{name}" for stem, tree in trees.items()
+              for name, node in _definitions(tree)
+              if name not in outside
+              and package[name] - _reads(node)[name] <= 0]
+    assert not unread, f"read only by tests, or by nothing: {unread}"

@@ -9,11 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumppipe import regression as reg
+from jumppipe.evaluation import permutation_importance
 from jumppipe.nncore import DimensionError
 from jumppipe.regression import (GbtConfig, MlpRegConfig, RfConfig,
                                  _predict_trees, fit_gbt, fit_mlp_regressor,
-                                 fit_rf, fit_tree, permutation_importance,
-                                 predict_gbt, predict_mlp, predict_rf)
+                                 fit_rf, predict_gbt, predict_mlp, predict_rf)
+
+
+def fit_tree(X, y, max_depth=None, max_leaf_nodes=None):
+    """One tree on every row, through the calls that `fit_rf` and `fit_gbt`
+    make: the input check, one ranking of X and the grower."""
+    X, y = reg._fit_input(X, y)
+    return reg._grow(X, reg._rank_columns(X), y, np.arange(X.shape[0]),
+                     max_depth, max_leaf_nodes, features_per_split=None,
+                     rng=None)
 
 
 def brute_force_root_split(X, y):
@@ -110,8 +119,8 @@ def argsort_best_split(X, y, idx, features):
 
 def argsort_fit_tree(X, y, max_depth, max_leaf_nodes, features_per_split,
                      rng):
-    """Frozen `fit_tree` over `argsort_best_split`, on its own copy of the
-    rows."""
+    """Frozen one-tree fit over `argsort_best_split`, on its own copy of
+    the rows."""
     p = X.shape[1]
 
     def candidate_features():
@@ -632,7 +641,7 @@ class TestPermutationImportance:
         def refuse(*args):
             raise AssertionError("predict called")
         monkeypatch.setattr(reg, "predict", refuse)
-        with pytest.raises(ValueError, match="constant targets"):
+        with pytest.raises(ValueError, match="constant truth"):
             permutation_importance(model, X, y, repeats=2, seed=0)
 
     @pytest.mark.parametrize("repeats", [0, -1])

@@ -9,7 +9,7 @@ from jumppipe import segmentation as seg
 from jumppipe.segmentation import (DEFAULT_VOCAB, Segment,
                                    extract_segments, iou, jump_counts,
                                    match_segments, min_duration_filter,
-                                   roi_window, segments_to_labels, select_roi)
+                                   roi_window, select_roi)
 
 
 class TestVocabulary:
@@ -53,29 +53,15 @@ class TestExtractSegments:
     @settings(max_examples=100)
     def test_round_trip(self, labels):
         segs = extract_segments(labels)
-        recon = segments_to_labels(segs, len(labels))
-        assert recon.tolist() == labels
+        recon = [0] * len(labels)
+        for s in segs:
+            recon[s.start:s.end] = [s.class_id] * s.length
+        assert recon == labels
         # output covers exactly the non-background samples, sorted, disjoint,
         # and each run is maximal
         for a, b in zip(segs, segs[1:]):
             assert a.end <= b.start
             assert a.end < b.start or a.class_id != b.class_id
-
-
-class TestSegmentsToLabels:
-    def test_empty(self):
-        assert segments_to_labels([], 4).tolist() == [0, 0, 0, 0]
-
-    def test_single(self):
-        assert segments_to_labels([Segment(1, 3, 2)], 4).tolist() == [0, 2, 2, 0]
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            segments_to_labels([Segment(0, 3, 1), Segment(2, 5, 2)], 6)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            segments_to_labels([Segment(2, 9, 1)], 5)
 
 
 class TestMinDurationFilter:

@@ -518,3 +518,85 @@ class TestSpanBlasThreads:
         with pytest.raises(FloatingPointError, match="span failed"):
             tcn.train(self.CONFIG, sessions)
         self.check_restored(prior, baseline)
+
+    # Calls that overlap in time, from any threads, share the count: the
+    # first one in sets 1 and the last one out restores it.
+
+    def test_interleaved_calls_restore_the_count(self, monkeypatch, prior):
+        monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
+        get, _ = tcn._openblas()
+        baseline = threading.active_count()
+        a, b = tcn._span_map(2), tcn._span_map(2)
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert get() == 1  # b still runs spans
+        b.__exit__(None, None, None)
+        self.check_restored(prior, baseline)
+
+    @pytest.mark.parametrize("callers", [2, 4])
+    def test_concurrent_predict_and_train_match_serial(self, monkeypatch,
+                                                       prior, callers):
+        monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
+        sessions = span_sessions([2 * tcn.span_rows(self.CONFIG) + 1])
+        weights = tcn.build_mstcn(self.CONFIG)
+
+        def work():
+            probs, _ = tcn.predict(weights, sessions[0])
+            return probs.tobytes(), trained_bytes(self.CONFIG, sessions)
+
+        want = work()
+        baseline = threading.active_count()
+        start = threading.Barrier(callers, timeout=60)
+        got = [None] * callers
+
+        def caller(i):
+            start.wait()
+            got[i] = work()
+
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * callers
+        self.check_restored(prior, baseline)
+
+    def test_count_comes_back_when_a_span_raises_beside_another_call(
+            self, monkeypatch, prior):
+        monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
+        get, _ = tcn._openblas()
+        baseline = threading.active_count()
+        entered, release = threading.Barrier(3, timeout=60), threading.Event()
+
+        def wait(a):
+            entered.wait()
+            assert release.wait(60)
+
+        def other():
+            with tcn._span_map(2) as span_map:
+                list(span_map(wait, range(2)))
+
+        def refuse(a):
+            raise FloatingPointError("span failed")
+
+        thread = threading.Thread(target=other)
+        try:
+            with pytest.raises(FloatingPointError, match="span failed"):
+                with tcn._span_map(2) as span_map:  # in first, out first
+                    thread.start()
+                    entered.wait()  # the other call's two spans are running
+                    list(span_map(refuse, range(2)))
+            assert get() == 1  # the other call still runs spans
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        self.check_restored(prior, baseline)
