@@ -118,8 +118,8 @@ def _cmd_synth(args, out):
 
 
 def _cmd_train(args, out):
-    sessions = _load_sessions(args.data)
     config = _tcn_config(args)
+    sessions = _load_sessions(args.data)
     _log(f"training MS-TCN on {len(sessions)} sessions "
          f"({config.num_stages} stages, {config.stage.num_layers} layers)")
     weights, history = tcn.train(config, sessions)
@@ -179,10 +179,11 @@ def _cmd_eval_reg(args, out):
 
 
 def _cmd_pipeline(args, out):
+    config = _tcn_config(args)
     sessions, heights, heights_path = _load_dataset(args.data)
     with _blame(heights_path, evaluation.MissingHeightError):
         report = evaluation.run_pipeline_eval(
-            sessions, heights, _tcn_config(args),
+            sessions, heights, config,
             regressor_kind=args.regressor,
             width=args.width,
             threshold=args.threshold,
@@ -225,8 +226,8 @@ def _run(args) -> int:
         return outputs[-1]
 
     func, _, inputs, flags = COMMANDS[args.command]
-    for flag, least in (("width", 4), ("min_duration", 0),  # 4 for kurtosis
-                        ("repeats", 1)):
+    for flag, least in (("seed", 0), ("width", 4),  # 4 for kurtosis
+                        ("min_duration", 0), ("repeats", 1)):
         if getattr(args, flag, least) < least:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
     message = func(args, out)
@@ -249,21 +250,23 @@ def _run(args) -> int:
 
 # ---------------------------------------------------------------- parsing
 
-# Every flag once, as its argparse keywords.
+# Every flag once, as its argparse keywords; a flag that sets a config field
+# takes that field's default.
 _KINDS = ["rf", "gbt", "mlp"]
 FLAGS = {
     "config": dict(type=str, default=None,
                    help="key=value file; command-line flags override it"),
     "out": dict(type=str, default="."),
     "seed": dict(type=int, default=0),
-    "subjects": dict(type=int, default=10),
-    "duration": dict(type=float, default=170.0),
-    "noise": dict(type=float, default=0.05),
-    "stages": dict(type=int, default=2),
-    "layers": dict(type=int, default=7),
-    "filters": dict(type=int, default=16),
-    "epochs": dict(type=int, default=20),
-    "lr": dict(type=float, default=1e-3),
+    "subjects": dict(type=int, default=dataio.SyntheticConfig.num_subjects),
+    "duration": dict(type=float,
+                     default=dataio.SyntheticConfig.session_duration_s),
+    "noise": dict(type=float, default=dataio.SyntheticConfig.noise_std_g),
+    "stages": dict(type=int, default=tcn.MsTcnConfig.num_stages),
+    "layers": dict(type=int, default=tcn.SsTcnConfig.num_layers),
+    "filters": dict(type=int, default=tcn.SsTcnConfig.num_filters),
+    "epochs": dict(type=int, default=tcn.MsTcnConfig.epochs),
+    "lr": dict(type=float, default=tcn.MsTcnConfig.lr),
     "min-duration": dict(type=int, default=seg.DEFAULT_MIN_DURATION),
     "threshold": dict(type=float, default=seg.DEFAULT_IOU_THRESHOLD),
     "width": dict(type=int, default=seg.DEFAULT_ROI_WIDTH),

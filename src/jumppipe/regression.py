@@ -27,6 +27,9 @@ from .nncore import AdamState, DimensionError
 
 RF_MAX_DEPTH = 10  # the shape of each forest tree
 RF_MAX_LEAF_NODES = 15
+GBT_ETA = 0.1  # boosting's step, stage count and tree depth
+GBT_N_ESTIMATORS = 100
+GBT_MAX_DEPTH = 6
 MLP_LR = 1e-3  # the MLP's Adam step size
 
 
@@ -40,19 +43,9 @@ class RfConfig:
             raise ValueError("n_estimators must be >= 1")
 
 
-def _check_eta(eta) -> None:
-    if not 0 < eta <= 1:
-        raise ValueError("eta must be in (0, 1]")
-
-
 @dataclass
 class GbtConfig:
-    eta: float = 0.1
-    n_estimators: int = 100
-    max_depth: int = 6
-
-    def __post_init__(self):
-        _check_eta(self.eta)
+    """No fields: boosting's settings are the GBT_* constants."""
 
 
 @dataclass
@@ -304,20 +297,21 @@ def predict_rf(model: TrainedRegressor, X):
 
 def fit_gbt(X, y, config: GbtConfig) -> TrainedRegressor:
     """Stagewise squared-error boosting: each tree fits the running residual.
-    X is ranked once for all the trees."""
+    X is ranked once for all the trees. The shape is the module's GBT_*
+    constants, read on each call."""
     X, y = _fit_input(X, y)
     ranks, rows = _rank_columns(X), np.arange(X.shape[0])
     base = float(y.mean())
     current = np.full(y.shape, base)
     trees = []
     stage_mse = [float(((y - current) ** 2).mean())]
-    for _ in range(config.n_estimators):
-        tree = _grow(X, ranks, y - current, rows, config.max_depth,
+    for _ in range(GBT_N_ESTIMATORS):
+        tree = _grow(X, ranks, y - current, rows, GBT_MAX_DEPTH,
                      max_leaf_nodes=None, features_per_split=None, rng=None)
-        current = current + config.eta * _predict_trees([tree], X)[0]
+        current = current + GBT_ETA * _predict_trees([tree], X)[0]
         trees.append(tree)
         stage_mse.append(float(((y - current) ** 2).mean()))
-    payload = {"base": base, "trees": trees, "eta": config.eta,
+    payload = {"base": base, "trees": trees, "eta": GBT_ETA,
                "stage_mse": stage_mse}
     return TrainedRegressor("gbt", payload, X.shape[1])
 
@@ -504,7 +498,8 @@ def from_doc(kind, doc: dict) -> TrainedRegressor:
                              for k, t in enumerate(trees)]}
         if kind == "gbt":
             eta = nncore.doc_field(doc, "eta", int, float)
-            _check_eta(eta)
+            if not 0 < eta <= 1:
+                raise ValueError("eta must be in (0, 1]")
             payload.update(base=float(nncore.doc_field(doc, "base", int, float)),
                            eta=eta)
     else:

@@ -77,15 +77,10 @@ class Segment:
 class Roi:
     """Fixed-width window centered on a segment, with edge paddings."""
 
-    segment: Segment
     window_start: int
     window_end: int
     left_pad: int
     right_pad: int
-
-    @property
-    def width(self) -> int:
-        return self.window_end - self.window_start + self.left_pad + self.right_pad
 
 
 @dataclass
@@ -140,7 +135,7 @@ def select_roi(segment: Segment, n: int, width: int = DEFAULT_ROI_WIDTH) -> Roi:
     hi = lo + width
     left_pad = max(0, -lo)
     right_pad = max(0, hi - n)
-    return Roi(segment, max(0, lo), min(n, hi), left_pad, right_pad)
+    return Roi(max(0, lo), min(n, hi), left_pad, right_pad)
 
 
 def roi_window(roi: Roi, samples: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,30 +27,31 @@ from .nncore import AdamState, ConvKernel, DimensionError
 from .segmentation import DEFAULT_VOCAB
 
 
+KERNEL_SIZE = 3  # of every dilated conv
+
+
 @dataclass
 class SsTcnConfig:
-    num_layers: int = 10
-    num_filters: int = 64
-    kernel_size: int = 3
+    num_layers: int = 7
+    num_filters: int = 16
     in_channels: int = 6
     num_classes: int = DEFAULT_VOCAB.num_classes
 
     def __post_init__(self):
-        for name in ("num_layers", "num_filters", "kernel_size", "in_channels",
-                     "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
 
     def receptive_field(self) -> int:
-        return 1 + (self.kernel_size - 1) * (2**self.num_layers - 1)
+        return 1 + (KERNEL_SIZE - 1) * (2**self.num_layers - 1)
 
 
 @dataclass
 class MsTcnConfig:
-    num_stages: int = 4
+    num_stages: int = 2
     stage: SsTcnConfig = field(default_factory=SsTcnConfig)
-    epochs: int = 50
-    lr: float = 5e-4
+    epochs: int = 20
+    lr: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +84,12 @@ class ModelWeights:
 
 
 def config_to_doc(config: MsTcnConfig) -> dict:
-    """Flat JSON-ready form of a config: the checkpoint body and run echoes."""
-    return {"num_stages": config.num_stages, **asdict(config.stage),
+    """Flat JSON-ready form of a config and the constants it runs under:
+    the checkpoint body and run echoes."""
+    stage = config.stage
+    return {"num_stages": config.num_stages, "num_layers": stage.num_layers,
+            "num_filters": stage.num_filters, "kernel_size": KERNEL_SIZE,
+            "in_channels": stage.in_channels, "num_classes": stage.num_classes,
             "lambda_tmse": nncore.LAMBDA_TMSE, "tau": nncore.TMSE_TAU,
             "epochs": config.epochs, "lr": config.lr, "seed": config.seed}
 
@@ -95,9 +100,9 @@ def config_from_doc(doc) -> MsTcnConfig:
     nncore.doc_keys(doc, "config", template)
     for key, default in template.items():
         nncore.doc_field(doc, f"config.{key}", int, type(default))
-        if key in ("lambda_tmse", "tau") and doc[key] != default:
-            raise ValueError(f"field 'config.{key}' is {doc[key]}, but the "
-                             f"smoothing loss has {key} = {default}")
+        if key in ("kernel_size", "lambda_tmse", "tau") and doc[key] != default:
+            raise ValueError(f"field 'config.{key}' is {doc[key]}, but "
+                             f"jumppipe fixes {key} = {default}")
     stage = SsTcnConfig(**{f.name: doc[f.name] for f in fields(SsTcnConfig)})
     return MsTcnConfig(doc["num_stages"], stage, doc["epochs"], doc["lr"],
                        doc["seed"])
@@ -152,7 +157,7 @@ def kernel_layout(config: MsTcnConfig):
         din = sc.in_channels if s == 0 else sc.num_classes
         yield s, f"stage{s}.conv_in", 1, din, sc.num_filters, 1
         for l in range(sc.num_layers):
-            yield (s, f"stage{s}.block{l}.dilated", sc.kernel_size,
+            yield (s, f"stage{s}.block{l}.dilated", KERNEL_SIZE,
                    sc.num_filters, sc.num_filters, 2**l)
             yield (s, f"stage{s}.block{l}.pointwise", 1, sc.num_filters,
                    sc.num_filters, 1)
@@ -345,8 +350,8 @@ def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:
 # 31-32 ms at T = 16 836 against 60 ms whole; 4096-row spans take 68 ms, as
 # OpenBLAS then threads each product and oversubscribes the cores. A span
 # is at least 8 H rows, so recomputed halo rows stay under a quarter of the
-# work: at the default 4 x 10 x 64 shape (H = 4092), 2048-row spans were 5x
-# slower than the whole session.
+# work: at 4 x 10 x 64 (H = 4092), 2048-row spans were 5x slower than the
+# whole session.
 CHUNK_ROWS = 2048
 
 

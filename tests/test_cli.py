@@ -8,8 +8,8 @@ import pytest
 
 from jumppipe import dataio, features, regression, tcn
 from jumppipe import segmentation as seg
-from jumppipe.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser,
-                          cli_dispatch)
+from jumppipe.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, _tcn_config,
+                          build_parser, cli_dispatch)
 from jumppipe.segmentation import Segment
 
 TINY_TCN = ["--stages", "1", "--layers", "3", "--filters", "4", "--epochs", "2"]
@@ -175,6 +175,26 @@ class TestErrors:
         argv = [command, "--data", str(small_dataset), *TINY_TCN,
                 flag, value, "--out", str(tmp_path / "out")]
         assert cli_dispatch(argv) == EXIT_VALIDATION
+        assert message in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "synth --seed -1",
+        "train --data d --seed -1",
+        "fit-reg --features f.csv --seed -1",
+        "pipeline --data d --seed -1",
+        "importance --model m.ckpt --features f.csv --seed -1",
+        "train --data d --epochs -1",
+        "pipeline --data d --lr 0",
+    ])
+    def test_bad_flag_refused_before_any_input_is_read(self, tmp_path, capsys,
+                                                        monkeypatch, argv):
+        # the inputs do not exist, so reading one would be an I/O error
+        monkeypatch.chdir(tmp_path)
+        message = {"--seed": "--seed must be >= 0",
+                   "--epochs": "epochs must be >= 0",
+                   "--lr": "lr must be positive and finite"}[argv.split()[-2]]
+        assert cli_dispatch([*argv.split(), "--out", "out"]) == EXIT_VALIDATION
         assert message in self._one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
@@ -676,6 +696,15 @@ def _flag_surface(subparser) -> dict:
             tuple(action.choices) if action.choices else None,
             action.required)
     return surface
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    assert _tcn_config(parser.parse_args(["train", "--data", "d"])) \
+        == tcn.MsTcnConfig()
+    args, synth = parser.parse_args(["synth"]), dataio.SyntheticConfig()
+    assert (args.subjects, args.duration, args.noise) == (
+        synth.num_subjects, synth.session_duration_s, synth.noise_std_g)
 
 
 def test_parser_surface_is_pinned():

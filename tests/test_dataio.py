@@ -372,7 +372,7 @@ class TestCheckpoints:
         y = X.sum(axis=1)
         configs = {
             "rf": regression.RfConfig(n_estimators=5, seed=0),
-            "gbt": regression.GbtConfig(n_estimators=10),
+            "gbt": regression.GbtConfig(),
             "mlp": regression.MlpRegConfig(hidden_layers=(8,), max_iter=50),
         }
         model = regression.fit(kind, X, y, configs[kind])
@@ -408,7 +408,7 @@ class TestCheckpoints:
             X = np.random.default_rng(3).normal(size=(20, 3))
             configs = {
                 "rf": regression.RfConfig(n_estimators=2),
-                "gbt": regression.GbtConfig(n_estimators=2),
+                "gbt": regression.GbtConfig(),
                 "mlp": regression.MlpRegConfig(hidden_layers=(4,),
                                                max_iter=2),
             }
@@ -446,10 +446,11 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path, "regressor")
 
-    @pytest.mark.parametrize("key, value", [("lambda_tmse", 0.3),
+    @pytest.mark.parametrize("key, value", [("kernel_size", 5),
+                                            ("lambda_tmse", 0.3),
                                             ("tau", 2.0)])
-    def test_loss_constant_other_than_recorded_refused(self, key, value,
-                                                       tmp_path):
+    def test_fixed_constant_other_than_recorded_refused(self, key, value,
+                                                        tmp_path):
         doc = self._saved_doc("mstcn", tmp_path)
         doc["config"][key] = value
         path = tmp_path / "bad.ckpt"

@@ -40,7 +40,7 @@ def files(tmp_path_factory):
     session = sessions[0]
     X, y = evaluation.feature_table(sessions, heights, seg.DEFAULT_ROI_WIDTH)
     configs = {"rf": regression.RfConfig(n_estimators=3),
-               "gbt": regression.GbtConfig(n_estimators=3),
+               "gbt": regression.GbtConfig(),
                "mlp": regression.MlpRegConfig(hidden_layers=(3,), max_iter=5)}
     valid = root / "valid"
     valid.mkdir()

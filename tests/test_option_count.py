@@ -31,9 +31,6 @@ EXPECTED_OPTIONS = [
     "nncore:AdamState.first_moment",
     "nncore:AdamState.second_moment",
     "nncore:AdamState.step",
-    "regression:GbtConfig.eta",
-    "regression:GbtConfig.max_depth",
-    "regression:GbtConfig.n_estimators",
     "regression:MlpRegConfig.hidden_layers",
     "regression:MlpRegConfig.max_iter",
     "regression:MlpRegConfig.seed",
@@ -49,7 +46,6 @@ EXPECTED_OPTIONS = [
     "tcn:MsTcnConfig.seed",
     "tcn:MsTcnConfig.stage",
     "tcn:SsTcnConfig.in_channels",
-    "tcn:SsTcnConfig.kernel_size",
     "tcn:SsTcnConfig.num_classes",
     "tcn:SsTcnConfig.num_filters",
     "tcn:SsTcnConfig.num_layers",

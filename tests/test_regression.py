@@ -25,6 +25,17 @@ def fit_tree(X, y, max_depth=None, max_leaf_nodes=None):
                      rng=None)
 
 
+@pytest.fixture
+def gbt_shape(monkeypatch):
+    """`gbt_shape(n_estimators, max_depth=, eta=)` sets the boosting
+    constants for one test; `fit_gbt` reads them on each call."""
+    def set_shape(n_estimators, max_depth=reg.GBT_MAX_DEPTH, eta=reg.GBT_ETA):
+        monkeypatch.setattr(reg, "GBT_N_ESTIMATORS", n_estimators)
+        monkeypatch.setattr(reg, "GBT_MAX_DEPTH", max_depth)
+        monkeypatch.setattr(reg, "GBT_ETA", eta)
+    return set_shape
+
+
 def brute_force_root_split(X, y):
     """Exhaustive best split over all features and midpoints (SSE gain)."""
     n, p = X.shape
@@ -173,12 +184,12 @@ def argsort_fit(kind, X, y, config):
     base = float(y.mean())
     current = np.full(y.shape, base)
     trees = []
-    for _ in range(config.n_estimators):
-        tree = argsort_fit_tree(X, y - current, config.max_depth, None, None,
+    for _ in range(reg.GBT_N_ESTIMATORS):
+        tree = argsort_fit_tree(X, y - current, reg.GBT_MAX_DEPTH, None, None,
                                 None)
-        current = current + config.eta * _predict_trees([tree], X)[0]
+        current = current + reg.GBT_ETA * _predict_trees([tree], X)[0]
         trees.append(tree)
-    payload = {"base": base, "trees": trees, "eta": config.eta}
+    payload = {"base": base, "trees": trees, "eta": reg.GBT_ETA}
     return reg.TrainedRegressor("gbt", payload, X.shape[1])
 
 
@@ -239,7 +250,7 @@ def default_tables():
 FIT_INPUTS = {
     "fit_tree": lambda X, y: fit_tree(X, y),
     "rf": lambda X, y: fit_rf(X, y, RfConfig(n_estimators=2)),
-    "gbt": lambda X, y: fit_gbt(X, y, GbtConfig(n_estimators=2)),
+    "gbt": lambda X, y: fit_gbt(X, y, GbtConfig()),
     "mlp": lambda X, y: fit_mlp_regressor(X, y, MlpRegConfig(max_iter=2)),
 }
 
@@ -306,14 +317,15 @@ class TestRankKeys:
         assert got == want
 
     @pytest.mark.parametrize("kind", ["rf", "gbt"])
-    def test_columns_ranked_once_per_ensemble(self, kind, monkeypatch):
+    def test_columns_ranked_once_per_ensemble(self, kind, monkeypatch,
+                                              gbt_shape):
         calls = []
         rank = reg._rank_columns
         monkeypatch.setattr(reg, "_rank_columns",
                             lambda X: calls.append(X.shape) or rank(X))
         X, y = tied_fixture()
-        config = (RfConfig(n_estimators=7) if kind == "rf"
-                  else GbtConfig(n_estimators=7))
+        gbt_shape(7)
+        config = RfConfig(n_estimators=7) if kind == "rf" else GbtConfig()
         reg.fit(kind, X, y, config)
         assert calls == [X.shape]
 
@@ -403,10 +415,12 @@ class TestTree:
         assert order[cut:].tolist() == want[3][cut:].tolist()
 
     @pytest.mark.parametrize("kind", ["rf", "gbt"])
-    def test_checkpoint_bytes_match_per_feature_loop(self, kind, monkeypatch):
+    def test_checkpoint_bytes_match_per_feature_loop(self, kind, monkeypatch,
+                                                     gbt_shape):
         X, y = tied_fixture()
+        gbt_shape(15, max_depth=4)
         config = (RfConfig(n_estimators=10, seed=3) if kind == "rf"
-                  else GbtConfig(n_estimators=15, max_depth=4))
+                  else GbtConfig())
         got = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
         monkeypatch.setattr(reg, "_best_split",
                             lambda X, ranks, y, idx, features:
@@ -480,16 +494,18 @@ class TestRandomForest:
 
 
 class TestGradientBoosting:
-    def test_zero_estimators_predicts_mean(self):
+    def test_zero_estimators_predicts_mean(self, gbt_shape):
         X, y = linear_fixture(seed=3)
-        model = fit_gbt(X, y, GbtConfig(n_estimators=0))
+        gbt_shape(0)
+        model = fit_gbt(X, y, GbtConfig())
         np.testing.assert_allclose(predict_gbt(model, X), y.mean())
 
-    def test_eta_one_single_tree_reduction(self):
+    def test_eta_one_single_tree_reduction(self, gbt_shape):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 2))
         y = (X[:, 0] > 0).astype(float)
-        boosted = fit_gbt(X, y, GbtConfig(eta=1.0, n_estimators=1, max_depth=6))
+        gbt_shape(1, max_depth=6, eta=1.0)
+        boosted = fit_gbt(X, y, GbtConfig())
         single = fit_tree(X, y - y.mean(), max_depth=6)
         np.testing.assert_allclose(
             predict_gbt(boosted, X), y.mean() + _predict_trees([single], X)[0]
@@ -502,21 +518,23 @@ class TestGradientBoosting:
         assert mse < ((y.mean() - y) ** 2).mean()
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_stagewise_mse_nonincreasing(self, seed):
+    def test_stagewise_mse_nonincreasing(self, seed, gbt_shape):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 80))
         p = int(rng.integers(1, 6))
         X = rng.normal(size=(n, p))
         y = rng.normal(size=n)
-        model = fit_gbt(X, y, GbtConfig(n_estimators=20, max_depth=3))
+        gbt_shape(20, max_depth=3)
+        model = fit_gbt(X, y, GbtConfig())
         mse = model.payload["stage_mse"]
         assert all(b <= a + 1e-12 for a, b in zip(mse, mse[1:]))
 
-    def test_row_order_invariance(self):
+    def test_row_order_invariance(self, gbt_shape):
         X, y = linear_fixture(seed=6, n=60)
-        model = fit_gbt(X, y, GbtConfig(n_estimators=10))
+        gbt_shape(10)
+        model = fit_gbt(X, y, GbtConfig())
         perm = np.random.default_rng(0).permutation(60)
-        model_p = fit_gbt(X[perm], y[perm], GbtConfig(n_estimators=10))
+        model_p = fit_gbt(X[perm], y[perm], GbtConfig())
         np.testing.assert_allclose(predict_gbt(model, X), predict_gbt(model_p, X))
 
 
@@ -657,10 +675,12 @@ class TestPermutationImportance:
             permutation_importance(model, X, y, repeats=repeats, seed=0)
 
     @pytest.mark.parametrize("kind", ["rf", "gbt"])
-    def test_stacked_repeats_match_one_predict_per_repeat(self, kind):
+    def test_stacked_repeats_match_one_predict_per_repeat(self, kind,
+                                                          gbt_shape):
         X, y = tied_fixture(seed=16, n=40)
+        gbt_shape(10, max_depth=3)
         config = (RfConfig(n_estimators=5, seed=0) if kind == "rf"
-                  else GbtConfig(n_estimators=10, max_depth=3))
+                  else GbtConfig())
         model = reg.fit(kind, X, y, config)
         assert (permutation_importance(model, X, y, repeats=4, seed=2)
                 == loop_permutation_importance(model, X, y, 4, 2))
@@ -690,11 +710,12 @@ class TestPermutationImportance:
         for f in unused:
             assert by_feature[f] == 0.0
 
-    def test_exact_dependence_ranked_first(self):
+    def test_exact_dependence_ranked_first(self, gbt_shape):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(100, 5))
         y = X[:, 3].copy()
-        model = fit_gbt(X, y, GbtConfig(n_estimators=50, max_depth=3))
+        gbt_shape(50, max_depth=3)
+        model = fit_gbt(X, y, GbtConfig())
         ranked = permutation_importance(model, X, y, repeats=5, seed=0)
         assert ranked[0][0] == 3
 
