@@ -252,7 +252,6 @@ def _run(args) -> int:
 
 # Every flag once, as its argparse keywords; a flag that sets a config field
 # takes that field's default.
-_KINDS = ["rf", "gbt", "mlp"]
 FLAGS = {
     "config": dict(type=str, default=None,
                    help="key=value file; command-line flags override it"),
@@ -270,8 +269,8 @@ FLAGS = {
     "min-duration": dict(type=int, default=seg.DEFAULT_MIN_DURATION),
     "threshold": dict(type=float, default=seg.DEFAULT_IOU_THRESHOLD),
     "width": dict(type=int, default=seg.DEFAULT_ROI_WIDTH),
-    "kind": dict(choices=_KINDS, default="rf"),
-    "regressor": dict(choices=_KINDS, default="rf"),
+    "kind": dict(choices=list(regression.KINDS), default="rf"),
+    "regressor": dict(choices=list(regression.KINDS), default="rf"),
     "repeats": dict(type=int, default=10),
 }
 _TCN = ("stages", "layers", "filters", "epochs", "lr")

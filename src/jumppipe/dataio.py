@@ -9,13 +9,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import regression, tcn
+from . import nncore, regression, tcn
 from .features import CHANNEL_NAMES, SAMPLE_RATE_HZ, feature_names
 from .segmentation import DEFAULT_VOCAB, Segment
 
@@ -416,8 +417,15 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.num_subjects < 1:
-            raise ValueError("num_subjects must be >= 1")
+        nncore.check_ints(self, 1, "num_subjects")
+        nncore.check_ints(self, 0, "seed")
+        for name, count in self.jumps_per_class.items():
+            if name not in DEFAULT_VOCAB.names[1:]:
+                raise ValueError(f"jumps_per_class key {name!r} is not one of "
+                                 f"the event classes {DEFAULT_VOCAB.names[1:]}")
+            if not isinstance(count, numbers.Integral) or count < 0:
+                raise ValueError(f"jumps_per_class[{name!r}] must be an "
+                                 f"integer >= 0, got {count!r}")
         if not 0 < self.session_duration_s <= 86_400:  # also rejects nan
             raise ValueError("session_duration_s must be positive and finite, "
                              "at most 86400 s (one day)")
@@ -441,7 +449,8 @@ def _triangle(n: int) -> np.ndarray:
 
 
 def _jump_event(class_name: str, height: float):
-    """Noiseless 6-channel template of one flight event and its label span.
+    """Noiseless 6-channel template of one flight event and its label
+    length: the label spans movement onset through landing end.
 
     Vertical acceleration (ay): countermovement dip, takeoff push whose peak
     grows with height, a near-zero flight plateau of exactly
@@ -492,8 +501,7 @@ def _jump_event(class_name: str, height: float):
     elif class_name == "Hop":
         sig[:, 1] = 1.0 + 0.5 * (ay - 1.0)  # damped vertical dynamics
         sig[flight_start:flight_start + n_flight, 1] = 0.0
-    # label spans movement onset through landing end
-    return sig, (0, land_end), n_flight
+    return sig, land_end
 
 
 def _squat_event():
@@ -501,7 +509,7 @@ def _squat_event():
     sig = np.zeros((n, 6))
     sig[:, 1] = 1.0 - 0.55 * np.sin(np.linspace(0, math.pi, n, endpoint=False))
     sig[:, 3] = 30.0 * np.sin(np.linspace(0, 2 * math.pi, n, endpoint=False))
-    return sig, (0, n), 0
+    return sig, n
 
 
 def _dive_event():
@@ -514,7 +522,7 @@ def _dive_event():
     ay[:half] = 1.0 - 0.7 * _half_sine(half)
     ay[half:half + int(0.1 * SAMPLE_RATE_HZ)] = 2.0
     sig[:, 1] = ay
-    return sig, (0, n), 0
+    return sig, n
 
 
 def synth_generate(config: SyntheticConfig):
@@ -542,29 +550,25 @@ def synth_generate(config: SyntheticConfig):
         cursor = int(script.uniform(MIN_GAP_S, MIN_GAP_S + 1.0) * fs)
         for name in events:
             if name == "Squat":
-                sig, span, _ = _squat_event()
-                height = None
+                sig, length = _squat_event()
             elif name == "Dive":
-                sig, span, _ = _dive_event()
-                height = None
+                sig, length = _dive_event()
             else:
                 lo, hi = HOP_HEIGHT_RANGE_M if name == "Hop" else HEIGHT_RANGE_M
                 height = float(script.uniform(lo, hi))
-                sig, span, _ = _jump_event(name, height)
+                sig, length = _jump_event(name, height)
             n = sig.shape[0]
             if cursor + n > n_total:
                 raise ValueError(
                     f"subject {subject_id}: events do not fit in "
                     f"{config.session_duration_s} s"
                 )
-            block = samples[cursor:cursor + n]
-            block[:, :] = sig
-            lo_s, hi_s = cursor + span[0], cursor + span[1]
+            samples[cursor:cursor + n] = sig
             cid = DEFAULT_VOCAB.index(name)
-            labels[lo_s:hi_s] = cid
-            if height is not None and DEFAULT_VOCAB.is_jump(cid):
-                height_records.append(
-                    HeightRecord(subject_id, Segment(lo_s, hi_s, cid), height))
+            labels[cursor:cursor + length] = cid
+            if DEFAULT_VOCAB.is_jump(cid):
+                height_records.append(HeightRecord(
+                    subject_id, Segment(cursor, cursor + length, cid), height))
             cursor += n + int(script.uniform(MIN_GAP_S, MIN_GAP_S + 1.5) * fs)
         if config.noise_std_g > 0:
             samples[:, :3] += noise.normal(0, config.noise_std_g,

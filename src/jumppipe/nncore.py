@@ -9,6 +9,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,17 @@ def doc_field(doc: dict, name: str, *types):
     if float in types:
         numbers_from_doc(value, name, np.float64)
     return value
+
+
+def check_ints(config, least: int, *names) -> None:
+    """A ValueError that names the first field of `config` among `names`
+    that is not an integer, or is one below `least`."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
 
 
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:

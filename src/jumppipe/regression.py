@@ -8,13 +8,15 @@ features of a node in one vectorised pass. It sorts integer keys, not
 floats: a fit ranks every column of X once (an ensemble once for all its
 trees), and a node sorts keys that pack each row's rank above its position
 in the node, which orders the rows as a stable argsort of the values would.
-Every fitter refuses a non-finite or misshapen X or y before any work.
+`fit` and `predict` are the one way in: each checks its input once and finds
+the kind's code in one table, `KINDS`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, fields
 
@@ -39,8 +41,8 @@ class RfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+        nncore.check_ints(self, 1, "n_estimators")
+        nncore.check_ints(self, 0, "seed")
 
 
 @dataclass
@@ -55,15 +57,20 @@ class MlpRegConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        widths = self.hidden_layers
+        if not (isinstance(widths, tuple) and widths and all(
+                isinstance(w, numbers.Integral) and w >= 1 for w in widths)):
+            raise ValueError(f"hidden_layers must be a tuple of one or more "
+                             f"widths >= 1, got {widths!r}")
+        nncore.check_ints(self, 1, "max_iter")
+        nncore.check_ints(self, 0, "seed")
 
 
 @dataclass
 class TrainedRegressor:
-    kind: str  # "rf" | "gbt" | "mlp"
+    kind: str  # a key of KINDS
     payload: dict  # rf: trees; gbt: base, eta, trees (+ stage_mse from
-    #                fit_gbt); mlp: layers, mu, sigma
+    #                _fit_gbt); mlp: layers, mu, sigma
     input_dim: int
 
 
@@ -257,26 +264,13 @@ def _predict_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_input(model: TrainedRegressor, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != model.input_dim:
-        raise DimensionError(
-            f"expected {model.input_dim} features, got {X.shape[1]}"
-        )
-    return X, single
-
-
 # --------------------------------------------------------------- forest
 
-def fit_rf(X, y, config: RfConfig) -> TrainedRegressor:
+def _fit_rf(X, y, config: RfConfig) -> dict:
     """Bagged trees, each grown on its bootstrap's row indexes over one
     ranking of X."""
-    X, y = _fit_input(X, y)
     ranks = _rank_columns(X)
-    p = X.shape[1]
-    fps = math.ceil(p / 3)
+    fps = math.ceil(X.shape[1] / 3)
     master = np.random.default_rng(config.seed)
     trees = []
     for _ in range(config.n_estimators):
@@ -284,22 +278,19 @@ def fit_rf(X, y, config: RfConfig) -> TrainedRegressor:
         idx = tree_rng.integers(0, X.shape[0], size=X.shape[0])
         trees.append(_grow(X, ranks, y, idx, RF_MAX_DEPTH, RF_MAX_LEAF_NODES,
                            fps, tree_rng))
-    return TrainedRegressor("rf", {"trees": trees}, p)
+    return {"trees": trees}
 
 
-def predict_rf(model: TrainedRegressor, X):
-    X, single = _check_input(model, X)
-    preds = np.mean(_predict_trees(model.payload["trees"], X), axis=0)
-    return float(preds[0]) if single else preds
+def _predict_rf(payload: dict, X) -> np.ndarray:
+    return np.mean(_predict_trees(payload["trees"], X), axis=0)
 
 
 # ------------------------------------------------------------- boosting
 
-def fit_gbt(X, y, config: GbtConfig) -> TrainedRegressor:
+def _fit_gbt(X, y, config: GbtConfig) -> dict:
     """Stagewise squared-error boosting: each tree fits the running residual.
     X is ranked once for all the trees. The shape is the module's GBT_*
     constants, read on each call."""
-    X, y = _fit_input(X, y)
     ranks, rows = _rank_columns(X), np.arange(X.shape[0])
     base = float(y.mean())
     current = np.full(y.shape, base)
@@ -311,18 +302,15 @@ def fit_gbt(X, y, config: GbtConfig) -> TrainedRegressor:
         current = current + GBT_ETA * _predict_trees([tree], X)[0]
         trees.append(tree)
         stage_mse.append(float(((y - current) ** 2).mean()))
-    payload = {"base": base, "trees": trees, "eta": GBT_ETA,
-               "stage_mse": stage_mse}
-    return TrainedRegressor("gbt", payload, X.shape[1])
+    return {"base": base, "trees": trees, "eta": GBT_ETA,
+            "stage_mse": stage_mse}
 
 
-def predict_gbt(model: TrainedRegressor, X):
-    X, single = _check_input(model, X)
-    preds = np.full(X.shape[0], model.payload["base"])
-    eta = model.payload["eta"]
-    for values in _predict_trees(model.payload["trees"], X):
-        preds += eta * values  # in tree order, as fit_gbt adds them
-    return float(preds[0]) if single else preds
+def _predict_gbt(payload: dict, X) -> np.ndarray:
+    preds = np.full(X.shape[0], payload["base"])
+    for values in _predict_trees(payload["trees"], X):
+        preds += payload["eta"] * values  # in tree order, as fitted
+    return preds
 
 
 # ------------------------------------------------------------------ mlp
@@ -363,11 +351,10 @@ def _mlp_backward(layers, caches, grad_out):
     return flat
 
 
-def fit_mlp_regressor(X, y, config: MlpRegConfig) -> TrainedRegressor:
+def _fit_mlp(X, y, config: MlpRegConfig) -> dict:
     """Single-hidden-layer ReLU net on z-scored features and z-scored
     targets, full-batch Adam. The target's mean and scale are folded into
     the output layer, so the net predicts heights directly."""
-    X, y = _fit_input(X, y)
     mu = X.mean(axis=0)
     # ptp, not std, tells a constant column or target: one whose mean
     # rounds has std > 0 (5.6e-17 for a column of 0.3)
@@ -389,30 +376,54 @@ def fit_mlp_regressor(X, y, config: MlpRegConfig) -> TrainedRegressor:
         nncore.adam_step(params, grads, opt)
     out = layers[-1]
     layers[-1] = Dense(out.weights * y_scale, out.bias * y_scale + y_mean)
-    payload = {"layers": layers, "mu": mu, "sigma": sigma}
-    return TrainedRegressor("mlp", payload, X.shape[1])
+    return {"layers": layers, "mu": mu, "sigma": sigma}
 
 
-def predict_mlp(model: TrainedRegressor, X):
-    X, single = _check_input(model, X)
-    Xs = (X - model.payload["mu"]) / model.payload["sigma"]
-    pred, _ = _mlp_forward(model.payload["layers"], Xs)
-    return float(pred[0, 0]) if single else pred[:, 0]
+def _predict_mlp(payload: dict, X) -> np.ndarray:
+    pred, _ = _mlp_forward(payload["layers"],
+                           (X - payload["mu"]) / payload["sigma"])
+    return pred[:, 0]
 
 
-_PREDICTORS = {"rf": predict_rf, "gbt": predict_gbt, "mlp": predict_mlp}
-_FITTERS = {"rf": (fit_rf, RfConfig), "gbt": (fit_gbt, GbtConfig),
-            "mlp": (fit_mlp_regressor, MlpRegConfig)}
+# ----------------------------------------------------------- front door
+
+# A kind's fitter takes X and y as `_fit_input` returns them and gives the
+# payload; its predictor takes the payload and a 2-D X of `input_dim`
+# columns; `doc_keys` are the keys its checkpoint body holds beside
+# input_dim and catalog_version, as `to_doc` writes them.
+Kind = namedtuple("Kind", ["fit", "predict", "config", "doc_keys"])
+KINDS = {"rf": Kind(_fit_rf, _predict_rf, RfConfig, ("trees",)),
+         "gbt": Kind(_fit_gbt, _predict_gbt, GbtConfig,
+                     ("base", "eta", "trees")),
+         "mlp": Kind(_fit_mlp, _predict_mlp, MlpRegConfig,
+                     ("mu", "sigma", "layers"))}
+
+
+def _kind(kind) -> Kind:
+    if type(kind) is not str or kind not in KINDS:
+        raise ValueError(f"unknown regressor kind {kind!r}; the kinds are "
+                         f"{', '.join(KINDS)}")
+    return KINDS[kind]
+
+
+def fit(kind: str, X, y, config) -> TrainedRegressor:
+    """Fit a `kind` regressor; a `None` config means the kind's defaults.
+    X and y are checked once, before any work (`_fit_input`)."""
+    entry = _kind(kind)
+    X, y = _fit_input(X, y)
+    payload = entry.fit(X, y, entry.config() if config is None else config)
+    return TrainedRegressor(kind, payload, X.shape[1])
 
 
 def predict(model: TrainedRegressor, X):
-    return _PREDICTORS[model.kind](model, X)
-
-
-def fit(kind: str, X, y, config):
-    """Fit a `kind` regressor; a `None` config means the kind's defaults."""
-    fitter, default = _FITTERS[kind]
-    return fitter(X, y, default() if config is None else config)
+    """The height of each row of X, or a float for a 1-D X of one row."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.atleast_2d(X)
+    if rows.ndim != 2 or rows.shape[1] != model.input_dim:
+        raise DimensionError(f"expected rows of {model.input_dim} features, "
+                             f"got an array of shape {X.shape}")
+    preds = _kind(model.kind).predict(model.payload, rows)
+    return float(preds[0]) if X.ndim == 1 else preds
 
 
 # ----------------------------------------------------- checkpoint body
@@ -450,6 +461,7 @@ def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
 
 def to_doc(model: TrainedRegressor) -> dict:
     """Checkpoint body: what prediction reads, plus the feature contract."""
+    _kind(model.kind)  # refuses an unknown kind
     doc = {"input_dim": model.input_dim, "catalog_version": CATALOG_VERSION}
     pl = model.payload
     if model.kind in ("rf", "gbt"):
@@ -458,7 +470,7 @@ def to_doc(model: TrainedRegressor) -> dict:
             doc["eta"] = pl["eta"]
         doc["trees"] = [{name: getattr(t, name).tolist() for name in _TREE_FIELDS}
                         for t in pl["trees"]]
-    elif model.kind == "mlp":
+    else:
         doc["mu"] = nncore.array_to_doc(pl["mu"])
         doc["sigma"] = nncore.array_to_doc(pl["sigma"])
         doc["layers"] = [
@@ -466,23 +478,14 @@ def to_doc(model: TrainedRegressor) -> dict:
              "b": nncore.array_to_doc(l.bias)}
             for l in pl["layers"]
         ]
-    else:
-        raise ValueError(f"unknown regressor kind {model.kind!r}")
     return doc
-
-
-# The keys of each kind's checkpoint body, as `to_doc` writes them.
-_DOC_KEYS = {"rf": ("input_dim", "catalog_version", "trees"),
-             "gbt": ("input_dim", "catalog_version", "base", "eta", "trees"),
-             "mlp": ("input_dim", "catalog_version", "mu", "sigma", "layers")}
 
 
 def from_doc(kind, doc: dict) -> TrainedRegressor:
     """The regressor of a checkpoint body; any key that `to_doc` does not
     write, at any level, is refused."""
-    if type(kind) is not str or kind not in _DOC_KEYS:
-        raise ValueError(f"unknown regressor kind {kind!r}")
-    nncore.doc_keys(doc, "", _DOC_KEYS[kind])
+    nncore.doc_keys(doc, "", ("input_dim", "catalog_version",
+                              *_kind(kind).doc_keys))
     version = nncore.doc_field(doc, "catalog_version", int)
     if version != CATALOG_VERSION:
         raise ValueError(

@@ -38,9 +38,7 @@ class SsTcnConfig:
     num_classes: int = DEFAULT_VOCAB.num_classes
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1")
+        nncore.check_ints(self, 1, *(f.name for f in fields(self)))
 
     def receptive_field(self) -> int:
         return 1 + (KERNEL_SIZE - 1) * (2**self.num_layers - 1)
@@ -55,10 +53,8 @@ class MsTcnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_stages < 1:
-            raise ValueError("num_stages must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        nncore.check_ints(self, 1, "num_stages")
+        nncore.check_ints(self, 0, "epochs", "seed")
         if not 0 < self.lr < math.inf:  # also rejects nan
             raise ValueError("lr must be positive and finite")
 
@@ -403,7 +399,10 @@ def _span_map(spans: int):
     any threads, share it: the first one in saves the count and sets 1, and
     the last one out restores it, also when a span raises."""
     global _blas_users, _blas_prior
-    workers = min(len(os.sched_getaffinity(0)), spans)
+    # os.sched_getaffinity is missing on Windows and macOS
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(usable, spans)
     blas = _openblas() if workers > 1 else None
     if blas is None:
         yield map

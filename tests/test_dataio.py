@@ -563,8 +563,8 @@ class TestSyntheticGenerator:
 
     def test_flight_plateau_length(self):
         # h = 0.45 m -> ~0.606 s -> ~61 samples of near-zero vertical accel
-        sig, span, n_flight = dataio._jump_event("CMJ", 0.45)
-        assert n_flight == round(flight_time_s(0.45) * 100)
+        sig, _ = dataio._jump_event("CMJ", 0.45)
+        n_flight = round(flight_time_s(0.45) * 100)
         assert n_flight == 61
         ay = sig[:, 1]
         assert (np.abs(ay) < 1e-12).sum() >= n_flight
@@ -575,8 +575,9 @@ class TestSyntheticGenerator:
         sessions, records = synth_generate(cfg)
         sess = sessions[0]
         rec = records[0]
-        sig, span, _ = dataio._jump_event("CMJ", rec.height_m)
-        start = rec.segment.start - span[0]
+        sig, length = dataio._jump_event("CMJ", rec.height_m)
+        assert rec.segment.end - rec.segment.start == length
+        start = rec.segment.start
         np.testing.assert_allclose(
             sess.samples[start : start + sig.shape[0]], sig
         )
@@ -611,6 +612,10 @@ class TestSyntheticGenerator:
         ("noise_std_g", math.nan), ("noise_std_g", math.inf),
         ("session_duration_s", math.inf), ("session_duration_s", math.nan),
         ("session_duration_s", 1e308), ("session_duration_s", 1e9),
+        ("seed", -1), ("seed", 0.5), ("num_subjects", 2.5),
+        ("jumps_per_class", {"NULL": 2, "CMJ": 1}),
+        ("jumps_per_class", {"XYZ": 1}), ("jumps_per_class", {"CMJ": -3}),
+        ("jumps_per_class", {"CMJ": 1.5}),
     ])
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

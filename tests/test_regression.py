@@ -12,13 +12,12 @@ from jumppipe import regression as reg
 from jumppipe.evaluation import permutation_importance
 from jumppipe.nncore import DimensionError
 from jumppipe.regression import (GbtConfig, MlpRegConfig, RfConfig,
-                                 _predict_trees, fit_gbt, fit_mlp_regressor,
-                                 fit_rf, predict_gbt, predict_mlp, predict_rf)
+                                 _predict_trees)
 
 
 def fit_tree(X, y, max_depth=None, max_leaf_nodes=None):
-    """One tree on every row, through the calls that `fit_rf` and `fit_gbt`
-    make: the input check, one ranking of X and the grower."""
+    """One tree on every row, through the calls that `fit` makes for rf and
+    gbt: the input check, one ranking of X and the grower."""
     X, y = reg._fit_input(X, y)
     return reg._grow(X, reg._rank_columns(X), y, np.arange(X.shape[0]),
                      max_depth, max_leaf_nodes, features_per_split=None,
@@ -28,7 +27,7 @@ def fit_tree(X, y, max_depth=None, max_leaf_nodes=None):
 @pytest.fixture
 def gbt_shape(monkeypatch):
     """`gbt_shape(n_estimators, max_depth=, eta=)` sets the boosting
-    constants for one test; `fit_gbt` reads them on each call."""
+    constants for one test; `_fit_gbt` reads them on each call."""
     def set_shape(n_estimators, max_depth=reg.GBT_MAX_DEPTH, eta=reg.GBT_ETA):
         monkeypatch.setattr(reg, "GBT_N_ESTIMATORS", n_estimators)
         monkeypatch.setattr(reg, "GBT_MAX_DEPTH", max_depth)
@@ -168,7 +167,7 @@ def argsort_fit_tree(X, y, max_depth, max_leaf_nodes, features_per_split,
 
 
 def argsort_fit(kind, X, y, config):
-    """Frozen `fit_rf` and `fit_gbt`: every tree through `argsort_fit_tree`,
+    """Frozen rf and gbt fits: every tree through `argsort_fit_tree`,
     a forest tree on a copy of its bootstrap rows."""
     if kind == "rf":
         fps = math.ceil(X.shape[1] / 3)
@@ -247,16 +246,17 @@ def default_tables():
         heights, DEFAULT_ROI_WIDTH) for test in (False, True))
 
 
-FIT_INPUTS = {
-    "fit_tree": lambda X, y: fit_tree(X, y),
-    "rf": lambda X, y: fit_rf(X, y, RfConfig(n_estimators=2)),
-    "gbt": lambda X, y: fit_gbt(X, y, GbtConfig()),
-    "mlp": lambda X, y: fit_mlp_regressor(X, y, MlpRegConfig(max_iter=2)),
-}
+SMALL_CONFIGS = {"rf": RfConfig(n_estimators=2), "gbt": GbtConfig(),
+                 "mlp": MlpRegConfig(max_iter=2)}
+# every kind through `fit`, and the tests' own one-tree fit
+FIT_INPUTS = {"fit_tree": fit_tree,
+              **{kind: functools.partial(reg.fit, kind,
+                                         config=SMALL_CONFIGS[kind])
+                 for kind in reg.KINDS}}
 
 
 class TestFitInput:
-    """Every fitter checks X and y once, before any tree or step."""
+    """`fit` checks X and y once, before any tree or step."""
 
     @pytest.mark.parametrize("fitter", FIT_INPUTS)
     @pytest.mark.parametrize("rows", [25, 15])
@@ -296,6 +296,56 @@ class TestFitInput:
         y[4] = bad
         with pytest.raises(ValueError, match=f"y\\[4\\] is {bad}, not finite"):
             FIT_INPUTS[fitter](X, y)
+
+
+class TestFrontDoor:
+    """Every kind is fit and predicted through `fit` and `predict`."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: reg.fit("svm", *linear_fixture(n=20, p=3), None),
+        lambda: reg.from_doc("svm", {}),
+        lambda: reg.to_doc(reg.TrainedRegressor("svm", {}, 3))])
+    def test_unknown_kind_refused_with_the_kinds(self, call):
+        with pytest.raises(ValueError, match="unknown regressor kind 'svm'; "
+                                             "the kinds are rf, gbt, mlp$"):
+            call()
+
+    @pytest.mark.parametrize("kind", reg.KINDS)
+    def test_one_row_gives_a_float(self, kind):
+        X, y = linear_fixture(n=20, p=3)
+        model = FIT_INPUTS[kind](X, y)
+        one = reg.predict(model, X[3])
+        assert type(one) is float
+        # BLAS may round a one-row MLP product differently in the last bits
+        assert one == pytest.approx(reg.predict(model, X)[3], rel=0,
+                                    abs=1e-12)
+
+    @pytest.mark.parametrize("kind", reg.KINDS)
+    @pytest.mark.parametrize("shape", [(20, 3, 1), (1, 20, 3), (20, 4)])
+    def test_predict_refuses_other_than_rows_of_the_width(self, kind, shape):
+        X, y = linear_fixture(n=20, p=3)
+        model = FIT_INPUTS[kind](X, y)
+        with pytest.raises(DimensionError, match=f"rows of 3 features, got "
+                                                 f"an array of shape"):
+            reg.predict(model, np.zeros(shape))
+
+
+class TestConfigs:
+    """A config refuses a bad field when it is built, by name."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("n_estimators", 2.5)])
+    def test_rf_config(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RfConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("max_iter", 2.5), ("hidden_layers", ()),
+        ("hidden_layers", (0,)), ("hidden_layers", (8, 2.5)),
+        ("hidden_layers", 100)])
+    def test_mlp_config(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MlpRegConfig(**{field: value})
 
 
 class TestRankKeys:
@@ -454,13 +504,13 @@ def linear_fixture(seed=0, n=200, p=5, noise=0.1):
 class TestRandomForest:
     def test_constant_target(self):
         X = np.random.default_rng(0).normal(size=(30, 3))
-        model = fit_rf(X, np.full(30, 1.2), RfConfig(n_estimators=5))
-        assert predict_rf(model, X[0]) == pytest.approx(1.2)
+        model = reg.fit("rf", X, np.full(30, 1.2), RfConfig(n_estimators=5))
+        assert reg.predict(model, X[0]) == pytest.approx(1.2)
 
     def test_beats_mean_predictor(self):
         X, y = linear_fixture()
-        model = fit_rf(X, y, RfConfig(seed=0))
-        mse = ((predict_rf(model, X) - y) ** 2).mean()
+        model = reg.fit("rf", X, y, RfConfig(seed=0))
+        mse = ((reg.predict(model, X) - y) ** 2).mean()
         mse_mean = ((y.mean() - y) ** 2).mean()
         assert mse < mse_mean
 
@@ -471,50 +521,52 @@ class TestRandomForest:
         def r2(pred):
             return 1 - ((ytest - pred) ** 2).sum() / ((ytest - ytest.mean()) ** 2).sum()
 
-        m1 = fit_rf(X, y, RfConfig(seed=7))
-        m2 = fit_rf(X, y, RfConfig(seed=7))
-        np.testing.assert_array_equal(predict_rf(m1, Xtest), predict_rf(m2, Xtest))
-        m3 = fit_rf(X, y, RfConfig(seed=8))
-        assert abs(r2(predict_rf(m1, Xtest)) - r2(predict_rf(m3, Xtest))) < 0.1
+        m1 = reg.fit("rf", X, y, RfConfig(seed=7))
+        m2 = reg.fit("rf", X, y, RfConfig(seed=7))
+        np.testing.assert_array_equal(reg.predict(m1, Xtest),
+                                      reg.predict(m2, Xtest))
+        m3 = reg.fit("rf", X, y, RfConfig(seed=8))
+        assert abs(r2(reg.predict(m1, Xtest))
+                   - r2(reg.predict(m3, Xtest))) < 0.1
 
     def test_prediction_within_tree_range(self):
         X, y = linear_fixture(seed=2)
-        model = fit_rf(X, y, RfConfig(n_estimators=10, seed=0))
+        model = reg.fit("rf", X, y, RfConfig(n_estimators=10, seed=0))
         per_tree = np.array([_predict_trees([t], X)[0]
                              for t in model.payload["trees"]])
-        pred = predict_rf(model, X)
+        pred = reg.predict(model, X)
         assert np.all(pred >= per_tree.min(axis=0) - 1e-12)
         assert np.all(pred <= per_tree.max(axis=0) + 1e-12)
 
     def test_dimension_check(self):
         X, y = linear_fixture()
-        model = fit_rf(X, y, RfConfig(n_estimators=2))
+        model = reg.fit("rf", X, y, RfConfig(n_estimators=2))
         with pytest.raises(DimensionError):
-            predict_rf(model, np.zeros(4))
+            reg.predict(model, np.zeros(4))
 
 
 class TestGradientBoosting:
     def test_zero_estimators_predicts_mean(self, gbt_shape):
         X, y = linear_fixture(seed=3)
         gbt_shape(0)
-        model = fit_gbt(X, y, GbtConfig())
-        np.testing.assert_allclose(predict_gbt(model, X), y.mean())
+        model = reg.fit("gbt", X, y, GbtConfig())
+        np.testing.assert_allclose(reg.predict(model, X), y.mean())
 
     def test_eta_one_single_tree_reduction(self, gbt_shape):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 2))
         y = (X[:, 0] > 0).astype(float)
         gbt_shape(1, max_depth=6, eta=1.0)
-        boosted = fit_gbt(X, y, GbtConfig())
+        boosted = reg.fit("gbt", X, y, GbtConfig())
         single = fit_tree(X, y - y.mean(), max_depth=6)
         np.testing.assert_allclose(
-            predict_gbt(boosted, X), y.mean() + _predict_trees([single], X)[0]
+            reg.predict(boosted, X), y.mean() + _predict_trees([single], X)[0]
         )
 
     def test_beats_mean_predictor(self):
         X, y = linear_fixture(seed=5)
-        model = fit_gbt(X, y, GbtConfig())
-        mse = ((predict_gbt(model, X) - y) ** 2).mean()
+        model = reg.fit("gbt", X, y, GbtConfig())
+        mse = ((reg.predict(model, X) - y) ** 2).mean()
         assert mse < ((y.mean() - y) ** 2).mean()
 
     @pytest.mark.parametrize("seed", range(20))
@@ -525,52 +577,54 @@ class TestGradientBoosting:
         X = rng.normal(size=(n, p))
         y = rng.normal(size=n)
         gbt_shape(20, max_depth=3)
-        model = fit_gbt(X, y, GbtConfig())
+        model = reg.fit("gbt", X, y, GbtConfig())
         mse = model.payload["stage_mse"]
         assert all(b <= a + 1e-12 for a, b in zip(mse, mse[1:]))
 
     def test_row_order_invariance(self, gbt_shape):
         X, y = linear_fixture(seed=6, n=60)
         gbt_shape(10)
-        model = fit_gbt(X, y, GbtConfig())
+        model = reg.fit("gbt", X, y, GbtConfig())
         perm = np.random.default_rng(0).permutation(60)
-        model_p = fit_gbt(X[perm], y[perm], GbtConfig())
-        np.testing.assert_allclose(predict_gbt(model, X), predict_gbt(model_p, X))
+        model_p = reg.fit("gbt", X[perm], y[perm], GbtConfig())
+        np.testing.assert_allclose(reg.predict(model, X),
+                                   reg.predict(model_p, X))
 
 
 class TestMlp:
     def test_null_target(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(50, 3))
-        model = fit_mlp_regressor(X, np.zeros(50),
-                                  MlpRegConfig(hidden_layers=(16,),
-                                               max_iter=500, seed=0))
-        assert np.all(np.abs(predict_mlp(model, X)) < 0.05)
+        model = reg.fit("mlp", X, np.zeros(50),
+                        MlpRegConfig(hidden_layers=(16,), max_iter=500,
+                                     seed=0))
+        assert np.all(np.abs(reg.predict(model, X)) < 0.05)
 
     def test_linear_capacity(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(200, 1))
         y = 2 * X[:, 0] + 1
-        model = fit_mlp_regressor(X, y, MlpRegConfig(hidden_layers=(32,),
-                                                     max_iter=2000, seed=0))
-        pred = predict_mlp(model, X)
+        model = reg.fit("mlp", X, y, MlpRegConfig(hidden_layers=(32,),
+                                                  max_iter=2000, seed=0))
+        pred = reg.predict(model, X)
         r2 = 1 - ((y - pred) ** 2).sum() / ((y - y.mean()) ** 2).sum()
         assert r2 > 0.99
 
     def test_deterministic(self):
         X, y = linear_fixture(seed=9, n=40)
         cfg = MlpRegConfig(hidden_layers=(8,), max_iter=200, seed=3)
-        a = fit_mlp_regressor(X, y, cfg)
-        b = fit_mlp_regressor(X, y, cfg)
-        np.testing.assert_array_equal(predict_mlp(a, X), predict_mlp(b, X))
+        a = reg.fit("mlp", X, y, cfg)
+        b = reg.fit("mlp", X, y, cfg)
+        np.testing.assert_array_equal(reg.predict(a, X), reg.predict(b, X))
 
     def test_row_order_invariance(self):
         X, y = linear_fixture(seed=10, n=40)
         cfg = MlpRegConfig(hidden_layers=(8,), max_iter=100, seed=3)
-        model = fit_mlp_regressor(X, y, cfg)
+        model = reg.fit("mlp", X, y, cfg)
         perm = np.random.default_rng(1).permutation(40)
-        model_p = fit_mlp_regressor(X[perm], y[perm], cfg)
-        np.testing.assert_allclose(predict_mlp(model, X), predict_mlp(model_p, X),
+        model_p = reg.fit("mlp", X[perm], y[perm], cfg)
+        np.testing.assert_allclose(reg.predict(model, X),
+                                   reg.predict(model_p, X),
                                    rtol=1e-9, atol=1e-12)
 
     def test_affine_equivariant_in_the_target(self):
@@ -578,8 +632,8 @@ class TestMlp:
         rescales and shifts the predictions, to rounding."""
         X, y = linear_fixture(seed=18, n=60)
         cfg = MlpRegConfig(hidden_layers=(16,), max_iter=300, seed=2)
-        pred = predict_mlp(fit_mlp_regressor(X, y, cfg), X)
-        scaled = predict_mlp(fit_mlp_regressor(X, 10 * y - 2, cfg), X)
+        pred = reg.predict(reg.fit("mlp", X, y, cfg), X)
+        scaled = reg.predict(reg.fit("mlp", X, 10 * y - 2, cfg), X)
         np.testing.assert_allclose(scaled, 10 * pred - 2, rtol=0, atol=1e-12)
 
     def test_constant_column_is_not_scaled_up(self):
@@ -590,34 +644,35 @@ class TestMlp:
         X, y = linear_fixture(seed=20, n=50)
         X[:, 1] = 0.3
         assert X[:, 1].std() > 0
-        model = fit_mlp_regressor(X, 0.3 + 0.05 * y,
-                                  MlpRegConfig(hidden_layers=(8,), max_iter=50))
+        model = reg.fit("mlp", X, 0.3 + 0.05 * y,
+                        MlpRegConfig(hidden_layers=(8,), max_iter=50))
         assert model.payload["sigma"][1] == 1.0
         moved = X[:5].copy()
         moved[:, 1] = 0.31
-        np.testing.assert_allclose(predict_mlp(model, moved),
-                                   predict_mlp(model, X[:5]), rtol=0, atol=5e-3)
+        np.testing.assert_allclose(reg.predict(model, moved),
+                                   reg.predict(model, X[:5]), rtol=0,
+                                   atol=5e-3)
 
     def test_folded_checkpoint_round_trip_bit_identical(self, tmp_path):
         from jumppipe import dataio
         X, y = linear_fixture(seed=19, n=40)
-        model = fit_mlp_regressor(X, 0.3 + 0.05 * y,
-                                  MlpRegConfig(hidden_layers=(8,), max_iter=50))
+        model = reg.fit("mlp", X, 0.3 + 0.05 * y,
+                        MlpRegConfig(hidden_layers=(8,), max_iter=50))
         first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         dataio.save_checkpoint(model, first)
         loaded = dataio.load_checkpoint(first, expect="regressor")
         dataio.save_checkpoint(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-        np.testing.assert_array_equal(predict_mlp(loaded, X),
-                                      predict_mlp(model, X))
+        np.testing.assert_array_equal(reg.predict(loaded, X),
+                                      reg.predict(model, X))
 
     def test_held_out_subject_error_on_default_dataset(self):
         """Default MLP, default seed-1 dataset: fit on 9 subjects, predict
         the tenth. Fit on raw heights for 8000 iterations it erred by
         0.039 m; on standardised heights for 500, by 0.016 m."""
         (X, y), (X_test, y_test) = default_tables()
-        model = fit_mlp_regressor(X, y, MlpRegConfig())
-        rmse = np.sqrt(((predict_mlp(model, X_test) - y_test) ** 2).mean())
+        model = reg.fit("mlp", X, y, MlpRegConfig())
+        rmse = np.sqrt(((reg.predict(model, X_test) - y_test) ** 2).mean())
         assert rmse <= 0.025
 
     def test_gradients_match_finite_difference(self):
@@ -654,7 +709,7 @@ class TestPermutationImportance:
     def test_constant_targets_rejected_before_predicting(self, monkeypatch):
         X = np.random.default_rng(12).normal(size=(20, 3))
         y = np.full(20, 0.3)  # mean 0.29999999999999993: rounding hides it
-        model = fit_rf(X, X[:, 0], RfConfig(n_estimators=2, seed=0))
+        model = reg.fit("rf", X, X[:, 0], RfConfig(n_estimators=2, seed=0))
 
         def refuse(*args):
             raise AssertionError("predict called")
@@ -666,7 +721,7 @@ class TestPermutationImportance:
     def test_repeats_below_one_rejected_before_predicting(self, repeats,
                                                           monkeypatch):
         X, y = linear_fixture(seed=15, n=20, p=3)
-        model = fit_rf(X, y, RfConfig(n_estimators=2, seed=0))
+        model = reg.fit("rf", X, y, RfConfig(n_estimators=2, seed=0))
 
         def refuse(*args):
             raise AssertionError("predict called")
@@ -689,8 +744,8 @@ class TestPermutationImportance:
         # BLAS may block a taller matrix product differently, so the MLP's
         # predictions, unlike a tree's, can move in the last bits.
         X, y = tied_fixture(seed=17, n=40)
-        model = fit_mlp_regressor(X, y, MlpRegConfig(hidden_layers=(8,),
-                                                     max_iter=50))
+        model = reg.fit("mlp", X, y, MlpRegConfig(hidden_layers=(8,),
+                                                  max_iter=50))
         got = dict(permutation_importance(model, X, y, repeats=4, seed=2))
         want = dict(loop_permutation_importance(model, X, y, 4, 2))
         assert got.keys() == want.keys()
@@ -715,13 +770,13 @@ class TestPermutationImportance:
         X = rng.normal(size=(100, 5))
         y = X[:, 3].copy()
         gbt_shape(50, max_depth=3)
-        model = fit_gbt(X, y, GbtConfig())
+        model = reg.fit("gbt", X, y, GbtConfig())
         ranked = permutation_importance(model, X, y, repeats=5, seed=0)
         assert ranked[0][0] == 3
 
     def test_reproducible(self):
         X, y = linear_fixture(seed=14, n=50, p=3)
-        model = fit_rf(X, y, RfConfig(n_estimators=5, seed=0))
+        model = reg.fit("rf", X, y, RfConfig(n_estimators=5, seed=0))
         a = permutation_importance(model, X, y, repeats=3, seed=1)
         b = permutation_importance(model, X, y, repeats=3, seed=1)
         assert a == b

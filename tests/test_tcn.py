@@ -64,6 +64,19 @@ class TestBuild:
             expected += (din * F + F) + per_stage_blocks + (F * J + J)
         assert sum(p.size for p in w.params()) == expected
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_layers", 2.5), ("num_filters", 4.0), ("in_channels", "6"),
+        ("num_classes", 0.5)])
+    def test_stage_config_refuses_a_non_integer_count(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            tcn.SsTcnConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 0.5), ("epochs", 2.5), ("num_stages", 1.5)])
+    def test_config_refuses_a_bad_count_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            tcn.MsTcnConfig(**{field: value})
+
 
 class TestForward:
     def test_zero_weights_zero_logits(self):
@@ -448,6 +461,21 @@ class TestTrainSpans:
                             lambda pid: set(range(8)))
         monkeypatch.setattr(tcn, "_openblas", lambda: None)
         assert trained_bytes(self.CONFIG, sessions) == pooled
+
+    def test_no_sched_getaffinity_gives_the_same_bytes(self, monkeypatch):
+        """Windows and macOS have no os.sched_getaffinity; the CPU count
+        stands in, and train and predict give the same bytes."""
+        S = tcn.span_rows(self.CONFIG)
+        sessions = span_sessions([2 * S + 1, 300])
+        weights = tcn.build_mstcn(self.CONFIG)
+
+        def run():
+            return (trained_bytes(self.CONFIG, sessions),
+                    tcn.predict(weights, sessions[0])[0].tobytes())
+
+        want = run()
+        monkeypatch.delattr(tcn.os, "sched_getaffinity")
+        assert run() == want
 
 
 @pytest.mark.skipif(tcn._openblas() is None,
