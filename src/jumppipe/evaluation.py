@@ -73,12 +73,20 @@ class EvalReport:
     config_echo: dict
 
 
+def _paired(truth, pred) -> tuple[np.ndarray, np.ndarray]:
+    """truth and pred as float64, refused unless they have one shape: numpy
+    would otherwise broadcast one prediction against every truth value."""
+    truth = np.asarray(truth, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    if truth.shape != pred.shape:
+        raise ValueError(f"truth and predictions differ in length: truth has "
+                         f"shape {truth.shape}, predictions {pred.shape}")
+    return truth, pred
+
+
 def limits_of_agreement(truth_counts, pred_counts) -> AgreementStats:
     """Bland-Altman stats of per-subject differences, diff = truth - pred."""
-    truth = np.asarray(truth_counts, dtype=np.float64)
-    pred = np.asarray(pred_counts, dtype=np.float64)
-    if truth.shape != pred.shape:
-        raise ValueError("count lists must have equal length")
+    truth, pred = _paired(truth_counts, pred_counts)
     if truth.size < 2:
         raise ValueError("limits of agreement need at least 2 subjects")
     diffs = truth - pred
@@ -123,30 +131,27 @@ def _r2_truth(truth) -> np.ndarray:
 
 
 def r_squared(truth, pred) -> float:
+    truth, pred = _paired(truth, pred)
     truth = _r2_truth(truth)
-    pred = np.asarray(pred, dtype=np.float64)
     ss_tot = ((truth - truth.mean()) ** 2).sum()
     return float(1.0 - ((truth - pred) ** 2).sum() / ss_tot)
 
 
 def rmse(truth, pred) -> float:
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
+    truth, pred = _paired(truth, pred)
     return float(np.sqrt(((truth - pred) ** 2).mean()))
 
 
 def mape(truth, pred) -> float:
     """Mean absolute percentage error, as a fraction."""
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
+    truth, pred = _paired(truth, pred)
     if np.any(truth == 0):
         raise ValueError("MAPE undefined for zero truth values")
     return float(np.abs((truth - pred) / truth).mean())
 
 
 def pearson_r(truth, pred) -> float:
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
+    truth, pred = _paired(truth, pred)
     if truth.size < 2:
         raise ValueError("pearson_r needs at least 2 points")
     st = truth.std()
@@ -199,8 +204,7 @@ def permutation_importance(model, X, y, repeats: int,
 
 def bland_altman_points(truth, pred):
     """Plot-ready (mean, diff) pairs plus agreement stats over the diffs."""
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
+    truth, pred = _paired(truth, pred)
     if truth.size < 2:
         raise ValueError("bland_altman_points needs at least 2 points")
     points = [((t + p) / 2.0, t - p) for t, p in zip(truth, pred)]
@@ -225,28 +229,31 @@ def _height_of(heights, subject_id, segment) -> float:
     return heights[key]
 
 
-def _window_features(session, segment, width: int) -> np.ndarray:
-    """The feature vector of the `width`-sample ROI window around a segment
-    of the session."""
+def _window(session, segment, width: int) -> np.ndarray:
+    """The `width`-sample ROI window around a segment of the session."""
     roi = segmentation.select_roi(segment, session.samples.shape[0], width)
-    window = segmentation.roi_window(roi, session.samples)
-    return feat.extract_feature_vector(window, segment.class_id)
+    return segmentation.roi_window(roi, session.samples)
 
 
 def feature_table(sessions, height_records, width: int):
     """Feature matrix + height targets of every annotated height-eligible
-    segment, session by session in temporal order (zero rows if none)."""
+    segment, session by session in temporal order (zero rows if none). The
+    windows of a session go through `features.feature_rows` together."""
     heights = _height_lookup(height_records)
     X, y = [], []
     for sess in sessions:
         if sess.labels is None:
             raise ValueError(f"session {sess.subject_id!r} has no labels")
-        for seg in segmentation.extract_segments(sess.labels):
-            if DEFAULT_VOCAB.is_jump(seg.class_id):
-                y.append(_height_of(heights, sess.subject_id, seg))
-                X.append(_window_features(sess, seg, width))
+        jumps = [seg for seg in segmentation.extract_segments(sess.labels)
+                 if DEFAULT_VOCAB.is_jump(seg.class_id)]
+        if not jumps:
+            continue
+        y += [_height_of(heights, sess.subject_id, seg) for seg in jumps]
+        X.append(feat.feature_rows(
+            [_window(sess, seg, width) for seg in jumps],
+            [DEFAULT_VOCAB.jump_ordinal(seg.class_id) for seg in jumps]))
     n_features = len(feat.feature_names())
-    return np.asarray(X).reshape(-1, n_features), np.asarray(y)
+    return np.concatenate(X or [np.empty((0, n_features))]), np.asarray(y)
 
 
 def run_pipeline_eval(
@@ -313,7 +320,8 @@ def run_pipeline_eval(
             if not DEFAULT_VOCAB.is_jump(truth_seg.class_id):
                 continue
             pooled_truth_h.append(_height_of(heights, ids[k], truth_seg))
-            vec = _window_features(test_session, pred_seg, width)
+            vec = feat.extract_feature_vector(
+                _window(test_session, pred_seg, width), pred_seg.class_id)
             pooled_pred_h.append(regression.predict(model, vec))
 
     seg = precision_recall_f1(

@@ -198,12 +198,33 @@ def feature_names() -> list[str]:
     return names
 
 
+def feature_rows(windows: np.ndarray, ordinals) -> np.ndarray:
+    """(k, 145): the feature vector of each W x 6 window of a (k, W, 6)
+    stack, its jump type last; `ordinals` holds each window's jump type as
+    `ClassVocabulary.jump_ordinal` gives it. The windows' channels go through
+    the extractor as one (6 k, W) matrix, which gives each row the bytes it
+    has on its own."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[2] != len(CHANNEL_NAMES):
+        raise ValueError(f"window must be W x {len(CHANNEL_NAMES)}")
+    k, width, channels = windows.shape
+    rows = _channel_features(np.ascontiguousarray(
+        windows.transpose(0, 2, 1)).reshape(k * channels, width))
+    table = np.empty((k, channels * len(FEATURE_NAMES) + 1))
+    table[:, :-1] = rows.reshape(k, -1)
+    table[:, -1] = ordinals
+    if not np.all(np.isfinite(table)):
+        raise FloatingPointError("non-finite feature value")
+    return table
+
+
 def extract_feature_vector(
     window: np.ndarray,
     class_id: int,
     vocab: ClassVocabulary = DEFAULT_VOCAB,
 ) -> np.ndarray:
-    """145-value feature vector of a W x 6 ROI window plus the jump type.
+    """145-value feature vector of a W x 6 ROI window plus the jump type: the
+    one-window case of `feature_rows`.
 
     The jump type is encoded as the ordinal index of class_id among the
     height-eligible classes.
@@ -212,8 +233,4 @@ def extract_feature_vector(
     if window.ndim != 2 or window.shape[1] != len(CHANNEL_NAMES):
         raise ValueError(f"window must be W x {len(CHANNEL_NAMES)}")
     ordinal = vocab.jump_ordinal(class_id)  # raises for non-eligible classes
-    rows = _channel_features(np.ascontiguousarray(window.T))
-    vec = np.append(rows.ravel(), float(ordinal))
-    if not np.all(np.isfinite(vec)):
-        raise FloatingPointError("non-finite feature value")
-    return vec
+    return feature_rows(window[None], [ordinal])[0]

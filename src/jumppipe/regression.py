@@ -6,8 +6,10 @@ sum-of-squared-error reduction, midpoint split candidates, best-first growth
 under a leaf budget. The split search is exact and covers all candidate
 features of a node in one vectorised pass. It sorts integer keys, not
 floats: a fit ranks every column of X once (an ensemble once for all its
-trees), and a node sorts keys that pack each row's rank above its position
-in the node, which orders the rows as a stable argsort of the values would.
+trees, in int32 while the keys fit), and a node sorts keys that pack each
+row's rank above its position in the node, which orders the rows as a
+stable argsort of the values would. Between features, a later one must beat
+the best so far by more than TIE_MARGIN; that scan is vectorised too.
 `fit` and `predict` are the one way in: each checks its input once and finds
 the kind's code in one table, `KINDS`.
 """
@@ -107,16 +109,50 @@ def _fit_input(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_columns(X) -> np.ndarray:
-    """(features, rows) int64 rank of each value of X within its column:
-    equal values share a rank (-0.0 == 0.0) and ranks keep the values'
-    order, so a node can sort integer keys instead of floats."""
+    """(features, rows) rank of each value of X within its column: equal
+    values share a rank (-0.0 == 0.0) and ranks keep the values' order, so a
+    node can sort integer keys instead of floats. A key packs a rank above a
+    position, each below 2**b for b = rows.bit_length(), so the ranks are
+    int32, which sorts faster, while 2 b < 31, and int64 otherwise."""
+    rows = X.shape[0]
+    dtype = np.int32 if 2 * rows.bit_length() < 31 else np.int64
     order = np.argsort(X.T, axis=1, kind="stable")
     xs = np.take_along_axis(X.T, order, axis=1)
-    steps = np.zeros(xs.shape, dtype=np.int64)
+    steps = np.zeros(xs.shape, dtype=dtype)
     steps[:, 1:] = xs[:, 1:] != xs[:, :-1]
     ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, steps.cumsum(axis=1), axis=1)
+    np.put_along_axis(ranks, order, steps.cumsum(axis=1, dtype=dtype), axis=1)
     return ranks
+
+
+# A later candidate feature must beat the best so far by more than this.
+TIE_MARGIN = 1e-15
+
+
+def _tie_break(col_gains: np.ndarray):
+    """The index of `col_gains` that an in-order scan keeps, where an entry
+    replaces the best so far only if it beats it by more than TIE_MARGIN;
+    None if every entry is -inf (no cut).
+
+    The scan keeps the first maximum unless an earlier entry plus the margin
+    reaches it. Then it ends on a record at or before that maximum: its
+    chain of records restarts at the last entry that beats every earlier one
+    by more than the margin, and each step finds the next record by a search
+    of the running maximum."""
+    m = int(col_gains.argmax())
+    top = col_gains[m]
+    if top == -np.inf:
+        return None
+    peak = np.maximum.accumulate(col_gains)
+    if m == 0 or top > peak[m - 1] + TIE_MARGIN:
+        return m
+    clear = np.flatnonzero(col_gains[1:m] > peak[:m - 1] + TIE_MARGIN)
+    r = int(clear[-1]) + 1 if clear.size else 0
+    while True:
+        nxt = int(peak.searchsorted(col_gains[r] + TIE_MARGIN, "right"))
+        if nxt > m:
+            return r
+        r = nxt
 
 
 def _best_split(X, ranks, y, idx, features):
@@ -126,7 +162,8 @@ def _best_split(X, ranks, y, idx, features):
     Gain is the SSE reduction; split candidates are midpoints between
     consecutive distinct sorted values. `order` sorts `idx` by the chosen
     feature and its first `cut` rows go left. Ties break toward the earlier
-    candidate feature, then the lower threshold.
+    candidate feature, then the lower threshold: a later feature must beat
+    the best so far by more than TIE_MARGIN (`_tie_break`).
 
     All candidate features are searched in one pass: gains[c, k] is the gain
     of sending the k + 1 smallest values of candidate c to the left. Each
@@ -141,13 +178,15 @@ def _best_split(X, ranks, y, idx, features):
     total_sq = (yi**2).sum()
     parent_sse = total_sq - total_sum**2 / n
     shift = n.bit_length()
-    keys = ranks[:, idx][features]
+    # every column in order: gather the node's columns from `ranks` itself
+    every = features.tobytes() == np.arange(ranks.shape[0]).tobytes()
+    keys = (ranks if every else ranks[features]).take(idx, axis=1)
     keys <<= shift
-    keys |= np.arange(n)
+    keys |= np.arange(n, dtype=keys.dtype)
     keys.sort()
     order = keys & ((1 << shift) - 1)
     keys >>= shift
-    distinct = keys[:, 1:] != keys[:, :-1]
+    tied = keys[:, 1:] == keys[:, :-1]  # no cut between equal values
     sl = yi[order[:, :-1]]
     np.cumsum(sl, axis=1, out=sl)
     nl = np.arange(1, n)
@@ -160,22 +199,17 @@ def _best_split(X, ranks, y, idx, features):
     np.subtract(total_sq, gains, out=gains)
     gains -= sr
     np.subtract(parent_sse, gains, out=gains)
-    np.putmask(gains, ~distinct, -np.inf)
+    np.putmask(gains, tied, -np.inf)
     cuts = gains.argmax(axis=1)
-    col_gains = gains[np.arange(features.size), cuts].tolist()
-    best, j = None, None
-    # Sequential, so a later feature must beat the best so far by 1e-15.
-    for c, (gain, has_cut) in enumerate(zip(col_gains,
-                                            distinct.any(axis=1).tolist())):
-        if has_cut and (best is None or gain > best + 1e-15):
-            best, j = gain, c
+    col_gains = gains[np.arange(features.size), cuts]
+    j = _tie_break(col_gains)
     if j is None:
         return None
     k = cuts[j]
     f = features[j]
     lo, hi = idx[order[j, k:k + 2]]
     thr = (X[lo, f] + X[hi, f]) / 2.0
-    return best, f, thr, order[j], k + 1
+    return float(col_gains[j]), f, thr, order[j], k + 1
 
 
 def _grow(X, ranks, y, rows, max_depth, max_leaf_nodes, features_per_split,
@@ -190,8 +224,11 @@ def _grow(X, ranks, y, rows, max_depth, max_leaf_nodes, features_per_split,
             return every
         return np.sort(rng.choice(p, size=features_per_split, replace=False))
 
+    def mean(i):  # np.mean's arithmetic without its wrapper
+        return float(y[i].sum() / i.size)
+
     # One row per node: feature, threshold, left, right, value.
-    nodes = [[-1, 0.0, -1, -1, float(y[rows].mean())]]
+    nodes = [[-1, 0.0, -1, -1, mean(rows)]]
     heap = []  # equal gains pop in node order, the order of creation
 
     def consider(node, idx, depth):
@@ -213,8 +250,7 @@ def _grow(X, ranks, y, rows, max_depth, max_leaf_nodes, features_per_split,
         left_idx = idx[order[:cut]]
         right_idx = idx[order[cut:]]
         nodes[node][:4] = f, thr, len(nodes), len(nodes) + 1
-        nodes += [[-1, 0.0, -1, -1, float(y[i].mean())]
-                  for i in (left_idx, right_idx)]
+        nodes += [[-1, 0.0, -1, -1, mean(i)] for i in (left_idx, right_idx)]
         consider(len(nodes) - 2, left_idx, depth + 1)
         consider(len(nodes) - 1, right_idx, depth + 1)
     return Tree(*(np.array(col) for col in zip(*nodes)))

@@ -138,6 +138,16 @@ class TestRegressionMetrics:
         base = pearson_r(t, p)
         assert pearson_r(3 * t + 1, 0.5 * p - 2) == pytest.approx(base)
 
+    @pytest.mark.parametrize("metric", [rmse, r_squared, mape, pearson_r,
+                                        reg_metrics])
+    @pytest.mark.parametrize("pred", [[0.35], [0.35, 0.45]])
+    def test_lengths_must_match(self, metric, pred):
+        """One prediction is not broadcast against three truths."""
+        with pytest.raises(ValueError, match=f"differ in length: truth has "
+                                             f"shape \\(3,\\), predictions "
+                                             f"\\({len(pred)},\\)"):
+            metric([0.3, 0.4, 0.5], pred)
+
     def test_rmse_scales_linearly(self):
         rng = np.random.default_rng(2)
         t = rng.normal(size=20)
@@ -231,6 +241,66 @@ def tiny_dataset():
     return dataio.synth_generate(cfg)
 
 
+def labelled_session(subject_id, n, runs, seed):
+    """A session of n random samples labelled with `runs`, (start, end,
+    class name) each, and a height record for each jump among them."""
+    samples = np.random.default_rng(seed).normal(size=(n, 6))
+    labels = np.zeros(n, dtype=np.int64)
+    heights = []
+    for start, end, name in runs:
+        labels[start:end] = seg.DEFAULT_VOCAB.index(name)
+        if seg.DEFAULT_VOCAB.is_jump(labels[start]):
+            heights.append(dataio.HeightRecord(
+                subject_id, seg.Segment(start, end, int(labels[start])),
+                0.2 + 0.01 * start))
+    return dataio.ImuSession(subject_id, samples, labels), heights
+
+
+class TestFeatureTable:
+    """`feature_table` stacks a session's windows into one extractor call;
+    each row keeps the bytes of `extract_feature_vector` on its window."""
+
+    SESSIONS = {
+        # ROIs clipped at the start and at the end, and one in the middle
+        "edges": (120, [(2, 10, "CMJ"), (55, 65, "Smash"),
+                        (110, 118, "Block")]),
+        "no_jumps": (90, [(20, 40, "Squat"), (60, 70, "Dive")]),
+        "one_jump": (80, [(30, 44, "OS")]),
+    }
+
+    @pytest.mark.parametrize("names", [("edges",), ("no_jumps",),
+                                       ("one_jump",),
+                                       ("edges", "no_jumps", "one_jump")])
+    @pytest.mark.parametrize("width", [4, 50, 300])
+    def test_rows_equal_one_window_extraction(self, names, width):
+        sessions, heights = [], []
+        for k, name in enumerate(names):
+            n, runs = self.SESSIONS[name]
+            sess, recs = labelled_session(f"S{k}", n, runs, seed=k)
+            sessions.append(sess)
+            heights += recs
+        X, y = ev.feature_table(sessions, heights, width)
+        want = []
+        for sess in sessions:
+            for s in seg.extract_segments(sess.labels):
+                if seg.DEFAULT_VOCAB.is_jump(s.class_id):
+                    roi = seg.select_roi(s, sess.samples.shape[0], width)
+                    window = seg.roi_window(roi, sess.samples)
+                    want.append(feat.extract_feature_vector(window,
+                                                            s.class_id))
+        assert X.shape == (len(want), len(feat.feature_names()))
+        for got, row in zip(X, want):
+            assert got.tobytes() == row.tobytes()
+        assert y.tolist() == [r.height_m for r in heights]
+
+    def test_edges_are_clipped(self):
+        n, runs = self.SESSIONS["edges"]
+        rois = [seg.select_roi(seg.Segment(a, b, 1), n, 50)
+                for a, b, _ in runs]
+        assert rois[0].left_pad and rois[-1].right_pad
+        assert not (rois[1].left_pad or rois[1].right_pad)
+
+
 class TestPipelinePlumbing:
     def test_perfect_oracle_stub(self, tiny_dataset, monkeypatch):
         """With truth-echoing stage stubs the report must be exact."""
@@ -315,28 +385,32 @@ class TestPipelinePlumbing:
                                   "one-subject-without-jumps"])
     def test_features_extracted_once_per_jump(self, monkeypatch,
                                               jumpless_subject):
-        """Each annotated jump's features are extracted once per LOSO run,
-        not once per fold that trains on it; each TP jump once more."""
+        """Each annotated jump's window goes through `feature_rows` once per
+        LOSO run, not once per fold that trains on it, in one stack per
+        session; each TP jump's window once more, on its own."""
         sessions, heights = dataio.synth_generate(dataio.SyntheticConfig(
             num_subjects=3, jumps_per_class={"CMJ": 2, "Block": 2},
             session_duration_s=25.0, seed=11))
         if jumpless_subject:
             sessions[0].labels[:] = 0
             heights = [r for r in heights if r.subject_id != "S00"]
-        calls = []
-        extract = feat.extract_feature_vector
+        stacks = []  # windows per call
+        rows = feat.feature_rows
 
-        def counted(*args):
-            calls.append(args)
-            return extract(*args)
+        def counted(windows, ordinals):
+            stacks.append(len(windows))
+            return rows(windows, ordinals)
 
-        monkeypatch.setattr(ev.feat, "extract_feature_vector", counted)
+        monkeypatch.setattr(ev.feat, "feature_rows", counted)
         monkeypatch.setattr(ev.tcn, "train", lambda cfg, s: (None, []))
         monkeypatch.setattr(ev.tcn, "predict",
                             lambda w, s: (None, s.labels.copy()))
         report = run_pipeline_eval(sessions, heights,
                                    tcn.MsTcnConfig(epochs=0))
-        assert len(calls) == len(heights) + len(report.bland_altman_points)
+        per_session = [n for n in (sum(r.subject_id == s.subject_id
+                                       for r in heights) for s in sessions)
+                       if n]
+        assert stacks == per_session + [1] * len(report.bland_altman_points)
 
     def test_report_serialization_schema(self, tiny_dataset, monkeypatch):
         sessions, heights = tiny_dataset

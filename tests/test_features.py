@@ -321,6 +321,20 @@ class TestByteEqualToScalarOracle:
             assert got[24 * c:24 * (c + 1)].tobytes() == \
                 np.array(one).tobytes(), (name, c)
 
+    @pytest.mark.parametrize("width", [4, 5, 64, 300, 301])
+    def test_stacked_windows_match_one_by_one(self, width):
+        """Every window of one width through one `feature_rows` call: a
+        window with ties or signed zeros shares the matrix with the
+        others."""
+        windows = [w for _, w in _oracle_windows() if w.shape[0] == width]
+        ordinals = [k % 4 for k in range(len(windows))]
+        ids = [DEFAULT_VOCAB.eligible_ids()[o] for o in ordinals]
+        table = feat.feature_rows(np.stack(windows), ordinals)
+        assert table.shape == (len(windows), 145)
+        for row, window, class_id in zip(table, windows, ids):
+            assert row.tobytes() == extract_feature_vector(
+                window, class_id).tobytes()
+
     def test_zero_bins_case_has_exact_zero_bins(self):
         window = dict(_oracle_windows())["zero_bins"]
         for c in range(6):

@@ -380,6 +380,124 @@ class TestRankKeys:
         assert calls == [X.shape]
 
 
+class TestKeyWidth:
+    """Ranks are int32 while a node's packed keys fit in it, and the split
+    search gives the same answer on either width."""
+
+    @pytest.mark.parametrize("rows, dtype", [
+        (1, np.int32), (270, np.int32), (2**15 - 1, np.int32),
+        (2**15, np.int64), (2**15 + 1, np.int64)])
+    def test_rank_dtype_follows_the_row_count(self, rows, dtype):
+        X = np.arange(rows, 0, -1, dtype=np.float64)[:, None]
+        ranks = reg._rank_columns(X)
+        assert ranks.dtype == dtype
+        assert ranks[0].tolist() == list(range(rows - 1, -1, -1))
+
+    @pytest.mark.parametrize("table", ["default", "tied", "signed_zero"])
+    def test_same_split_on_int32_and_int64_ranks(self, table):
+        X, y = {"default": lambda: default_tables()[0],
+                "tied": tied_fixture,
+                "signed_zero": signed_zero_fixture}[table]()
+        narrow = reg._rank_columns(X)
+        assert narrow.dtype == np.int32
+        rng = np.random.default_rng(0)
+        for idx in (np.arange(X.shape[0]),
+                    rng.integers(0, X.shape[0], size=X.shape[0]),
+                    np.sort(rng.choice(X.shape[0], 9, replace=False))):
+            for features in (np.arange(X.shape[1]),
+                             np.sort(rng.choice(X.shape[1], 3,
+                                                replace=False))):
+                got = reg._best_split(X, narrow, y, idx, features)
+                want = reg._best_split(X, narrow.astype(np.int64), y, idx,
+                                       features)
+                assert got[:3] + got[4:] == want[:3] + want[4:]
+                assert got[3].tolist() == want[3].tolist()
+
+    @pytest.mark.parametrize("features", [[2, 1, 0], [1, 0, 2], [0, 2, 1]])
+    def test_full_length_unsorted_features_are_gathered(self, features):
+        """A permutation of every column is not every column in order."""
+        X = np.array([[0.0, 5.0, 1.0], [1.0, 4.0, 0.0], [2.0, 3.0, 1.0],
+                      [3.0, 2.0, 0.0], [4.0, 1.0, 1.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+        idx = np.arange(5)
+        got = reg._best_split(X, reg._rank_columns(X), y, idx, features)
+        want = loop_best_split(X, y, idx, features)
+        assert got[:3] + got[4:] == want[:3] + want[4:]
+        assert got[3].tolist() == want[3].tolist()
+
+
+def scan_records(gains) -> list[int]:
+    """The indexes at which an in-order scan takes a new best: the first
+    finite entry, then each entry more than 1e-15 above the best so far."""
+    best, records = None, []
+    for c, gain in enumerate(gains):
+        if gain > -math.inf and (best is None or gain > best + 1e-15):
+            best = gain
+            records.append(c)
+    return records
+
+
+def one_split_columns(orders, n):
+    """(n, len(orders)) X whose column c ranks the rows in `orders[c]`
+    (then every row not listed, in index order) as 0, 1, 2, ..."""
+    X = np.empty((n, len(orders)))
+    for c, order in enumerate(orders):
+        rest = [r for r in range(n) if r not in order]
+        X[list(order) + rest, c] = np.arange(n)
+    return X
+
+
+class TestTieBreak:
+    """The vectorised 1e-15 tie-break keeps the feature that the sequential
+    scan keeps."""
+
+    def check_against_loop(self, X, y):
+        idx = np.arange(X.shape[0])
+        features = np.arange(X.shape[1])
+        got = reg._best_split(X, reg._rank_columns(X), y, idx, features)
+        want = loop_best_split(X, y, idx, features)
+        assert got[:3] + got[4:] == want[:3] + want[4:]
+        assert got[3].tolist() == want[3].tolist()
+        gains = [loop_best_split(X, y, idx, [f])[0] for f in features]
+        return got[1], gains
+
+    def test_same_partition_ulps_apart_keeps_the_earlier_feature(self):
+        # both columns put rows 0-3 left; summed in another order, the
+        # second column's gain is 2 ulps (4.4e-16) above the first's
+        y = np.array([0.4, 0.3, 0.2, 0.4, 1.3, 1.2])
+        X = one_split_columns([(0, 2, 1, 3), (0, 1, 2, 3)], 6)
+        chosen, gains = self.check_against_loop(X, y)
+        assert 1 <= (gains[1] - gains[0]) / np.spacing(gains[0]) <= 2
+        assert int(np.argmax(gains)) == 1
+        assert chosen == 0  # the chain path: not the first argmax
+
+    def test_chain_of_three_records_each_within_the_margin(self):
+        # column c puts rows 0-2 and one of eight rows near 0.4 left; the
+        # gains of the chosen five climb in steps of under 1e-15
+        y = np.array([0.3] * 3 + [0.4 - k * 8e-16 for k in range(8)]
+                     + [0.9] * 3)
+        X = one_split_columns([(0, 1, 2, 3 + k, 11, 12, 13)
+                               for k in (0, 1, 2, 4, 7)], 14)
+        chosen, gains = self.check_against_loop(X, y)
+        records = scan_records(gains)
+        assert records == [0, 2, 4]
+        for r in records[1:]:
+            assert gains[r] <= gains[r - 1] + 1e-15  # not a clear record
+        assert chosen == 4
+
+    @given(st.lists(st.none() | st.integers(0, 12), min_size=1,
+                    max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_tie_break_matches_the_scan(self, steps):
+        """Gains 0.3e-15 apart around 1.0, so most of them tie within the
+        margin; None is a feature without a cut."""
+        gains = np.array([-np.inf if s is None else 1.0 + s * 3e-16
+                          for s in steps])
+        records = scan_records(gains.tolist())
+        assert reg._tie_break(gains) == (records[-1] if records
+                                            else None)
+
+
 class TestTree:
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).normal(size=(20, 3))
