@@ -348,8 +348,10 @@ def cli_dispatch(argv: list[str]) -> int:
     except OSError as e:
         _log(f"I/O error: {e}")
         return EXIT_IO
-    except (ValueError, KeyError, FloatingPointError, TypeError) as e:
-        # a dataio.ParseError and an nncore.DimensionError are ValueErrors
+    except (ValueError, KeyError, FloatingPointError, TypeError,
+            MemoryError) as e:
+        # a dataio.ParseError and an nncore.DimensionError are ValueErrors;
+        # a MemoryError is an input too large to hold, such as --repeats
         _log(f"error: {e}")
         return EXIT_VALIDATION
 

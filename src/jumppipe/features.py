@@ -229,8 +229,6 @@ def extract_feature_vector(
     The jump type is encoded as the ordinal index of class_id among the
     height-eligible classes.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != len(CHANNEL_NAMES):
-        raise ValueError(f"window must be W x {len(CHANNEL_NAMES)}")
     ordinal = vocab.jump_ordinal(class_id)  # raises for non-eligible classes
-    return feature_rows(window[None], [ordinal])[0]
+    # feature_rows refuses a stack that is not (1, W, 6)
+    return feature_rows(np.asarray(window)[None], [ordinal])[0]

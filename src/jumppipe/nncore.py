@@ -1,5 +1,6 @@
 """Minimal exact-gradient NN kernel: dilated 1-D convolutions, ReLU, softmax,
-the two training losses (cross entropy + truncated MSE smoothing) and Adam.
+the two training losses (cross entropy + truncated MSE smoothing) and Adam,
+and the one BLAS thread that every model fit and prediction runs at.
 
 All arrays are float64, shaped (T, channels) row-major. Every forward op has a
 matching backward returning analytic gradients, verified against central
@@ -8,8 +9,14 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +29,64 @@ ADAM_EPSILON = 1e-8
 # publishes them (Farha & Gall, CVPR 2019).
 LAMBDA_TMSE = 0.15
 TMSE_TAU = 4.0
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where it or its setter is not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# The callers inside `one_blas_thread`, and the count the first one found;
+# `_BLAS_LOCK` guards both.
+_BLAS_LOCK = threading.Lock()
+_blas_users = 0
+_blas_prior = None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for the block; yields whether it
+    does, which is False where the setter is not found.
+
+    Every model fit and prediction runs under it (`tcn.train`,
+    `tcn.predict`, `regression.fit`, `regression.predict`), and the
+    package's own span pool is its only parallelism. Their products are
+    small: on 2 vCPU the MLP fit takes 0.31 s at one thread and 0.37 s at
+    two, and two collapse when another process holds a core. The count is
+    process-wide, so blocks that overlap in time, from any threads, share
+    it: the first one in saves the count and sets 1, and the last one out
+    restores it, also when a block raises."""
+    global _blas_users, _blas_prior
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    with _BLAS_LOCK:
+        if not _blas_users:
+            _blas_prior = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield True
+    finally:
+        with _BLAS_LOCK:
+            _blas_users -= 1
+            if not _blas_users:
+                set_(_blas_prior)
 
 
 class DimensionError(ValueError):
@@ -285,13 +350,17 @@ def tmse_loss(probs: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam over a list of parameter arrays; the moments are
-    flat vectors over the parameters joined in list order."""
+    """Bias-corrected Adam over a list of parameter arrays. The step size
+    `lr` is its one field; `adam_step` advances the step count and the
+    moments, flat vectors over the parameters joined in list order, which
+    it makes on its first call."""
 
     lr: float
-    step: int = 0
-    first_moment: np.ndarray | None = None
-    second_moment: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.step = 0
+        self.first_moment = None
+        self.second_moment = None
 
 
 def adam_step(

@@ -10,8 +10,8 @@ trees, in int32 while the keys fit), and a node sorts keys that pack each
 row's rank above its position in the node, which orders the rows as a
 stable argsort of the values would. Between features, a later one must beat
 the best so far by more than TIE_MARGIN; that scan is vectorised too.
-`fit` and `predict` are the one way in: each checks its input once and finds
-the kind's code in one table, `KINDS`.
+`fit` and `predict` are the one way in: each checks its input once, finds
+the kind's code in one table, `KINDS`, and runs it at one BLAS thread.
 """
 
 from __future__ import annotations
@@ -444,21 +444,25 @@ def _kind(kind) -> Kind:
 
 def fit(kind: str, X, y, config) -> TrainedRegressor:
     """Fit a `kind` regressor; a `None` config means the kind's defaults.
-    X and y are checked once, before any work (`_fit_input`)."""
+    X and y are checked once, before any work (`_fit_input`), and the fit
+    runs at one BLAS thread (`nncore.one_blas_thread`)."""
     entry = _kind(kind)
     X, y = _fit_input(X, y)
-    payload = entry.fit(X, y, entry.config() if config is None else config)
+    with nncore.one_blas_thread():
+        payload = entry.fit(X, y, entry.config() if config is None else config)
     return TrainedRegressor(kind, payload, X.shape[1])
 
 
 def predict(model: TrainedRegressor, X):
-    """The height of each row of X, or a float for a 1-D X of one row."""
+    """The height of each row of X, or a float for a 1-D X of one row, at
+    one BLAS thread (`nncore.one_blas_thread`)."""
     X = np.asarray(X, dtype=np.float64)
     rows = np.atleast_2d(X)
     if rows.ndim != 2 or rows.shape[1] != model.input_dim:
         raise DimensionError(f"expected rows of {model.input_dim} features, "
                              f"got an array of shape {X.shape}")
-    preds = _kind(model.kind).predict(model.payload, rows)
+    with nncore.one_blas_thread():
+        preds = _kind(model.kind).predict(model.payload, rows)
     return float(preds[0]) if X.ndim == 1 else preds
 
 

@@ -10,13 +10,9 @@ of the previous stage's logits and refine it.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
-import glob
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -342,12 +338,13 @@ def train(config: MsTcnConfig, sessions) -> tuple[ModelWeights, list[float]]:
 
 # Rows per span of `predict` and `train`. Measured on the stream model's
 # predict (2 stages x 7 layers x 16 filters, H = 254, 2 vCPU, OpenBLAS at
-# its default 2 threads): 2048- and 3072-row spans on two threads take
-# 31-32 ms at T = 16 836 against 60 ms whole; 4096-row spans take 68 ms, as
-# OpenBLAS then threads each product and oversubscribes the cores. A span
-# is at least 8 H rows, so recomputed halo rows stay under a quarter of the
-# work: at 4 x 10 x 64 (H = 4092), 2048-row spans were 5x slower than the
-# whole session.
+# one thread, medians of two runs of 20 passes) at T = 16 836: 2048-row
+# spans on two threads take 24-31 ms, 3072-row spans 22-29 ms and 4096-row
+# spans 28-37 ms, against 57-60 ms for the whole session in one span.
+# 3072 is no clear win, and training shares the size (`span_rows`), whose
+# bytes any other size changes. A span is at least 8 H rows, so recomputed
+# halo rows stay under a quarter of the work: at 4 x 10 x 64 (H = 4092),
+# 2048-row spans were 5x slower than the whole session.
 CHUNK_ROWS = 2048
 
 
@@ -363,64 +360,24 @@ def span_rows(config: MsTcnConfig) -> int:
     return max(CHUNK_ROWS, 8 * halo_rows(config))
 
 
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    where it or its setter is not found."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-# The callers inside `_span_map` that hold OpenBLAS at one thread, and the
-# count they found; `_BLAS_LOCK` guards both.
-_BLAS_LOCK = threading.Lock()
-_blas_users = 0
-_blas_prior = None
-
-
 @contextlib.contextmanager
 def _span_map(spans: int):
-    """A `map` for up to `spans` independent spans. With more than one
-    usable CPU and span, it runs them on a pool of min(usable CPUs, spans)
-    threads with OpenBLAS at one thread, as two threads per product on top
-    of a thread per span oversubscribe the cores. Else, or where OpenBLAS's
-    setter is not found, it is the builtin map, in the caller's thread. The
-    thread count is process-wide, so pooled calls that overlap in time, from
-    any threads, share it: the first one in saves the count and sets 1, and
-    the last one out restores it, also when a span raises."""
-    global _blas_users, _blas_prior
+    """A `map` for up to `spans` independent spans, entered inside
+    `nncore.one_blas_thread`. Where that holds the count and there is more
+    than one usable CPU and span, it runs the spans on a pool of
+    min(usable CPUs, spans) threads. Else it is the builtin map, in the
+    caller's thread, since a pool beside OpenBLAS's own threads would
+    oversubscribe the cores."""
     # os.sched_getaffinity is missing on Windows and macOS
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
     workers = min(usable, spans)
-    blas = _openblas() if workers > 1 else None
-    if blas is None:
-        yield map
-        return
-    get, set_ = blas
-    with _BLAS_LOCK:
-        if not _blas_users:
-            _blas_prior = get()
-            set_(1)
-        _blas_users += 1
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            yield pool.map
-    finally:
-        with _BLAS_LOCK:
-            _blas_users -= 1
-            if not _blas_users:
-                set_(_blas_prior)
+    with nncore.one_blas_thread() as held:
+        if not held or workers < 2:
+            yield map
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                yield pool.map
 
 
 def _predict_rows(weights: ModelWeights, x: np.ndarray) -> np.ndarray:

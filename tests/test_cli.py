@@ -279,6 +279,24 @@ class TestErrors:
         assert "repeats must be >= 1" in self._one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_importance_too_many_repeats_is_one_error_line(self, tmp_path,
+                                                          capsys):
+        # 10**12 stacked copies of 20 x 145 floats are about 21 PiB, beyond
+        # any address space, so the allocation fails at once
+        X = np.random.default_rng(0).normal(size=(20, 145))
+        heights = np.abs(X[:, 0]) + 0.1
+        model = regression.fit("rf", X, heights, regression.RfConfig(
+            n_estimators=2))
+        dataio.save_checkpoint(model, tmp_path / "r.ckpt")
+        dataio.write_feature_csv(X, heights, tmp_path / "f.csv")
+        rc = cli_dispatch(["importance", "--model", str(tmp_path / "r.ckpt"),
+                           "--features", str(tmp_path / "f.csv"),
+                           "--repeats", str(10**12),
+                           "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        assert "allocate" in self._one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["extract-features", "pipeline"])
     def test_missing_height_names_heights_file(self, small_dataset, tmp_path,
                                                capsys, monkeypatch, command):

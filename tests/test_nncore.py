@@ -1,11 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumppipe import nncore, tcn
+from jumppipe import nncore, regression, tcn
 from jumppipe.dataio import ImuSession
 from jumppipe.nncore import (AdamState, ConvKernel, DimensionError, adam_step,
                              conv1d_backward, conv1d_dilated,
@@ -322,3 +323,99 @@ class TestAdam:
         state = AdamState(lr=0.1)
         with pytest.raises(DimensionError):
             adam_step([np.zeros(2)], [np.zeros(3)], state)
+
+    def test_lr_is_the_one_field(self):
+        state = AdamState(lr=0.1)
+        assert (state.step, state.first_moment, state.second_moment) == (
+            0, None, None)
+        with pytest.raises(TypeError):
+            AdamState(0.1, 3)
+
+
+def test_one_blas_thread_yields_false_without_a_setter(monkeypatch):
+    monkeypatch.setattr(nncore, "_openblas", lambda: None)
+    with nncore.one_blas_thread() as held:
+        assert held is False
+
+
+@pytest.mark.skipif(nncore._openblas() is None,
+                    reason="numpy's OpenBLAS thread setter is not found")
+class TestOneBlasThread:
+    """Every block runs with OpenBLAS at one thread, and the caller's count
+    comes back when the last overlapping block ends, however it ends."""
+
+    @staticmethod
+    def count():
+        return nncore._openblas()[0]()
+
+    def test_block_runs_at_one_thread(self, prior):
+        with nncore.one_blas_thread() as held:
+            assert held is True
+            assert self.count() == 1
+        assert self.count() == prior
+
+    def test_count_comes_back_when_the_block_raises(self, prior):
+        with pytest.raises(FloatingPointError, match="block failed"):
+            with nncore.one_blas_thread():
+                raise FloatingPointError("block failed")
+        assert self.count() == prior
+
+    def test_one_span_predict_runs_at_one_thread(self, monkeypatch, prior):
+        rows, seen = tcn._predict_rows, []
+
+        def counting(*args):
+            seen.append(self.count())
+            return rows(*args)
+
+        monkeypatch.setattr(tcn, "_predict_rows", counting)
+        weights = tcn.build_mstcn(tcn.MsTcnConfig(
+            stage=tcn.SsTcnConfig(num_layers=2, num_filters=4)))
+        tcn.predict(weights, ImuSession("s", np.zeros((300, 6))))
+        assert seen == [1]
+        assert self.count() == prior
+
+    def test_predict_overlapping_train_restores_the_count(self, monkeypatch,
+                                                          prior):
+        """A `regression.predict` enters first; a `tcn.train` in another
+        thread enters and ends inside it, and the predict ends last."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20, 4))
+        model = regression.fit("mlp", X, X[:, 0], regression.MlpRegConfig(
+            hidden_layers=(4,), max_iter=2))
+        config = tcn.MsTcnConfig(
+            stage=tcn.SsTcnConfig(num_layers=2, num_filters=4), epochs=1)
+        session = ImuSession("s", rng.normal(size=(300, 6)),
+                             rng.integers(0, config.stage.num_classes, 300))
+        entered, trained, seen = threading.Event(), threading.Event(), []
+        forward, span = regression._mlp_forward, tcn._span_loss_and_grads
+
+        def predicting(*args):
+            seen.append(self.count())
+            entered.set()
+            assert trained.wait(60)
+            seen.append(self.count())  # the train has ended
+            return forward(*args)
+
+        def training(*args):
+            seen.append(self.count())
+            return span(*args)
+
+        def other():
+            assert entered.wait(60)
+            try:
+                tcn.train(config, [session])
+            finally:
+                trained.set()
+
+        monkeypatch.setattr(regression, "_mlp_forward", predicting)
+        monkeypatch.setattr(tcn, "_span_loss_and_grads", training)
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            regression.predict(model, X)
+        finally:
+            trained.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert len(seen) == 3 and set(seen) == {1}
+        assert self.count() == prior

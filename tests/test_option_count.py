@@ -28,9 +28,6 @@ EXPECTED_OPTIONS = [
     "evaluation:run_pipeline_eval.threshold",
     "evaluation:run_pipeline_eval.width",
     "features:extract_feature_vector.vocab",
-    "nncore:AdamState.first_moment",
-    "nncore:AdamState.second_moment",
-    "nncore:AdamState.step",
     "regression:MlpRegConfig.hidden_layers",
     "regression:MlpRegConfig.max_iter",
     "regression:MlpRegConfig.seed",

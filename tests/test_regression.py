@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumppipe import nncore
 from jumppipe import regression as reg
 from jumppipe.evaluation import permutation_importance
 from jumppipe.nncore import DimensionError
@@ -328,6 +329,52 @@ class TestFrontDoor:
         with pytest.raises(DimensionError, match=f"rows of 3 features, got "
                                                  f"an array of shape"):
             reg.predict(model, np.zeros(shape))
+
+
+@pytest.mark.skipif(nncore._openblas() is None,
+                    reason="numpy's OpenBLAS thread setter is not found")
+class TestOneBlasThread:
+    """`fit` and `predict` run the kind's code with OpenBLAS at one thread
+    and hand the caller's count back, also when the kind's code raises."""
+
+    @staticmethod
+    def count():
+        return nncore._openblas()[0]()
+
+    def test_mlp_fit_and_predict_run_at_one_thread(self, monkeypatch, prior):
+        forward, seen = reg._mlp_forward, []
+
+        def counting(*args):
+            seen.append(self.count())
+            return forward(*args)
+
+        monkeypatch.setattr(reg, "_mlp_forward", counting)
+        X, y = linear_fixture(seed=3, n=30)
+        model = reg.fit("mlp", X, y, MlpRegConfig(hidden_layers=(4,),
+                                                  max_iter=3))
+        assert seen == [1] * 3 and self.count() == prior
+        reg.predict(model, X)
+        reg.predict(model, X[0])
+        assert seen == [1] * 5 and self.count() == prior
+
+    @pytest.mark.parametrize("call", ["fit", "predict"])
+    def test_count_comes_back_when_the_kind_raises(self, monkeypatch, prior,
+                                                   call):
+        def refuse(*args):
+            assert self.count() == 1
+            raise FloatingPointError("kind failed")
+
+        X, y = linear_fixture(seed=4, n=30)
+        model = reg.fit("mlp", X, y, MlpRegConfig(hidden_layers=(4,),
+                                                  max_iter=3))
+        monkeypatch.setitem(reg.KINDS, "mlp",
+                            reg.KINDS["mlp"]._replace(**{call: refuse}))
+        with pytest.raises(FloatingPointError, match="kind failed"):
+            if call == "fit":
+                reg.fit("mlp", X, y, None)
+            else:
+                reg.predict(model, X)
+        assert self.count() == prior
 
 
 class TestConfigs:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jumppipe import dataio, nncore, tcn
+from jumppipe import dataio, nncore, regression, tcn
 from jumppipe.nncore import DimensionError
 
 
@@ -459,7 +459,7 @@ class TestTrainSpans:
         assert trained_bytes(self.CONFIG, sessions) == pooled
         monkeypatch.setattr(tcn.os, "sched_getaffinity",
                             lambda pid: set(range(8)))
-        monkeypatch.setattr(tcn, "_openblas", lambda: None)
+        monkeypatch.setattr(nncore, "_openblas", lambda: None)
         assert trained_bytes(self.CONFIG, sessions) == pooled
 
     def test_no_sched_getaffinity_gives_the_same_bytes(self, monkeypatch):
@@ -478,7 +478,7 @@ class TestTrainSpans:
         assert run() == want
 
 
-@pytest.mark.skipif(tcn._openblas() is None,
+@pytest.mark.skipif(nncore._openblas() is None,
                     reason="numpy's OpenBLAS thread setter is not found")
 class TestSpanBlasThreads:
     """Spans run with OpenBLAS at one thread; train hands the prior count
@@ -489,7 +489,7 @@ class TestSpanBlasThreads:
     @pytest.fixture
     def seen(self, monkeypatch):
         # the thread count each span sees
-        get, _ = tcn._openblas()
+        get, _ = nncore._openblas()
         span = tcn._span_loss_and_grads
         seen = []
 
@@ -501,16 +501,8 @@ class TestSpanBlasThreads:
         monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
         return seen
 
-    @pytest.fixture
-    def prior(self):
-        get, set_ = tcn._openblas()
-        prior = get()
-        set_(3)  # a count that no default gives
-        yield 3
-        set_(prior)
-
     def check_restored(self, prior, baseline):
-        assert tcn._openblas()[0]() == prior
+        assert nncore._openblas()[0]() == prior
         assert threading.active_count() == baseline
 
     def test_spans_run_at_one_thread_and_the_count_comes_back(self, seen,
@@ -519,6 +511,13 @@ class TestSpanBlasThreads:
         sessions = span_sessions([2 * tcn.span_rows(self.CONFIG) + 1])
         tcn.train(self.CONFIG, sessions)
         assert seen and set(seen) == {1}
+        self.check_restored(prior, baseline)
+
+    def test_one_span_train_runs_at_one_thread(self, seen, prior):
+        # one span takes the builtin map, and still runs at one thread
+        baseline = threading.active_count()
+        tcn.train(self.CONFIG, span_sessions([300]))
+        assert seen == [1] * self.CONFIG.epochs
         self.check_restored(prior, baseline)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -548,7 +547,7 @@ class TestSpanBlasThreads:
 
     def test_interleaved_calls_restore_the_count(self, monkeypatch, prior):
         monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
-        get, _ = tcn._openblas()
+        get, _ = nncore._openblas()
         baseline = threading.active_count()
         a, b = tcn._span_map(2), tcn._span_map(2)
         a.__enter__()
@@ -564,10 +563,16 @@ class TestSpanBlasThreads:
         monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
         sessions = span_sessions([2 * tcn.span_rows(self.CONFIG) + 1])
         weights = tcn.build_mstcn(self.CONFIG)
+        # a regressor's prediction shares the count with the spans
+        X = np.random.default_rng(0).normal(size=(50, 4))
+        model = regression.fit("mlp", X, X[:, 0], regression.MlpRegConfig(
+            hidden_layers=(8,), max_iter=2))
 
         def work():
             probs, _ = tcn.predict(weights, sessions[0])
-            return probs.tobytes(), trained_bytes(self.CONFIG, sessions)
+            heights = regression.predict(model, X)
+            return (probs.tobytes(), heights.tobytes(),
+                    trained_bytes(self.CONFIG, sessions))
 
         want = work()
         baseline = threading.active_count()
@@ -596,7 +601,7 @@ class TestSpanBlasThreads:
     def test_count_comes_back_when_a_span_raises_beside_another_call(
             self, monkeypatch, prior):
         monkeypatch.setattr(tcn.os, "sched_getaffinity", lambda pid: {0, 1})
-        get, _ = tcn._openblas()
+        get, _ = nncore._openblas()
         baseline = threading.active_count()
         entered, release = threading.Barrier(3, timeout=60), threading.Event()
 
