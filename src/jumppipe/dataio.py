@@ -7,17 +7,20 @@ used for desk-scale verification.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import nncore, regression, tcn
-from .features import CHANNEL_NAMES, SAMPLE_RATE_HZ, feature_names
+from .features import (CATALOG_VERSION, CHANNEL_NAMES, SAMPLE_RATE_HZ,
+                       feature_names)
 from .segmentation import DEFAULT_VOCAB, Segment
 
 GRAVITY = 9.81
@@ -353,43 +356,312 @@ def write_feature_csv(X, y, path) -> None:
 
 # ----------------------------------------------------------- checkpoints
 
+def _array_to_doc(a: np.ndarray) -> dict:
+    """JSON-ready form of a float64 array; `_array_from_doc` inverts it
+    exactly, since Python's float repr round-trips."""
+    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
+
+
+def _array_from_doc(doc, name: str) -> np.ndarray:
+    """The array of an `_array_to_doc` document; a malformed one, or one that
+    holds a number that is not finite or too large for a float, raises an
+    error naming the field `name` it was read from."""
+    _doc_keys(doc, name, ("shape", "data"))
+    shape, data = doc["shape"], doc["data"]
+    if not (isinstance(shape, list) and isinstance(data, list)
+            and all(type(d) is int and d >= 0 for d in shape)
+            and all(type(v) in (int, float) for v in data)
+            and len(data) == math.prod(shape)):
+        raise ValueError(f"field {name!r} must be an array: a 'shape' list "
+                         f"of dims and a 'data' list of that many numbers")
+    return _numbers_from_doc(data, name, np.float64).reshape(shape)
+
+
+def _numbers_from_doc(values, name: str, dtype) -> np.ndarray:
+    """The JSON number or list of numbers `values` of the field `name` as a
+    `dtype` array, if each one fits it and is finite; else a ValueError that
+    names the field."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:
+        kind = "a float" if np.dtype(dtype).kind == "f" else "an int64"
+        raise ValueError(f"field {name!r} holds a number too large for "
+                         f"{kind}") from None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = arr[~finite].flat[0]
+        raise ValueError(f"field {name!r} holds {bad}, not a finite number")
+    return arr
+
+
+def _doc_keys(doc, name: str, keys) -> dict:
+    """`doc` if it is a dict with exactly the keys `keys` that the writer
+    writes at field `name` ("" for the checkpoint body); else a ValueError
+    that names the field or a key it does not write, or a KeyError that
+    names a missing key by its path."""
+    if type(doc) is not dict:
+        raise ValueError(f"field {name!r} must be dict, "
+                         f"not {type(doc).__name__}")
+    expected = set(keys)
+    if doc.keys() != expected:
+        path = f"{name}." if name else ""
+        for key in keys:
+            if key not in doc:
+                raise KeyError(path + key)
+        unknown = next(key for key in doc if key not in expected)
+        raise ValueError(f"unknown field {path + unknown!r}")
+    return doc
+
+
+def _doc_field(doc: dict, name: str, *types):
+    """The value of the field `name`, whose last dotted part is its key in
+    `doc`, if its JSON type is one of `types` and, where `types` holds
+    float, it is finite as a float; else a ValueError that names the
+    field."""
+    value = doc[name.rpartition(".")[2]]
+    if type(value) not in types:  # so a bool is no int
+        expected = " or ".join(sorted({t.__name__ for t in types}))
+        raise ValueError(f"field {name!r} must be {expected}, "
+                         f"not {type(value).__name__}")
+    if float in types:
+        _numbers_from_doc(value, name, np.float64)
+    return value
+
+
+def _mstcn_to_doc(weights: tcn.ModelWeights) -> dict:
+    """The MS-TCN body: the config plus every parameter by name."""
+    return {
+        "config": tcn.config_to_doc(weights.config),
+        "params": {name: _array_to_doc(a)
+                   for name, a in weights.named_params()},
+    }
+
+
+def _config_from_doc(doc) -> tcn.MsTcnConfig:
+    # each field has the type of its default; an int passes for a float
+    template = tcn.config_to_doc(tcn.MsTcnConfig())
+    _doc_keys(doc, "config", template)
+    for key, default in template.items():
+        _doc_field(doc, f"config.{key}", int, type(default))
+        if key in ("kernel_size", "lambda_tmse", "tau") and doc[key] != default:
+            raise ValueError(f"field 'config.{key}' is {doc[key]}, but "
+                             f"jumppipe fixes {key} = {default}")
+    stage = tcn.SsTcnConfig(**{f.name: doc[f.name]
+                               for f in fields(tcn.SsTcnConfig)})
+    return tcn.MsTcnConfig(doc["num_stages"], stage, doc["epochs"], doc["lr"],
+                           doc["seed"])
+
+
+def _mstcn_from_doc(doc) -> tcn.ModelWeights:
+    """The model of an MS-TCN body, whose `params` must be exactly the
+    parameters, by name and shape, that its `config` lays out. The model is
+    built from the file's arrays only once they all match, so the config
+    alone never sets how much memory a load asks for."""
+    config = _config_from_doc(doc["config"])
+    params = doc["params"]
+    # One kernel more than the file holds is enough to tell a mismatch.
+    layout = list(itertools.islice(
+        tcn.kernel_layout(config),
+        len(params) // 2 + 1 if type(params) is dict else 0))
+    shapes = {}
+    for _, name, k, cin, cout, _ in layout:
+        shapes.update({f"{name}.w": (k, cin, cout), f"{name}.b": (cout,)})
+    _doc_keys(params, "params", shapes)
+    saved = {}
+    for name, shape in shapes.items():
+        saved[name] = _array_from_doc(params[name], f"params.{name}")
+        if saved[name].shape != shape:
+            raise ValueError(f"field 'params.{name}' has shape "
+                             f"{saved[name].shape}, but the config lays out "
+                             f"{shape}")
+    stages = [[] for _ in range(config.num_stages)]
+    for s, name, *_, dilation in layout:
+        stages[s].append(nncore.ConvKernel(saved[f"{name}.w"],
+                                           saved[f"{name}.b"], dilation))
+    return tcn.ModelWeights(config=config, stages=stages)
+
+
+def _regressor_doc(model: regression.TrainedRegressor, **body) -> dict:
+    """A regressor's body: the feature contract it was fit under, then
+    `body`, which is what its prediction reads."""
+    return {"input_dim": model.input_dim, "catalog_version": CATALOG_VERSION,
+            **body}
+
+
+def _input_dim(doc) -> int:
+    """The input_dim of a regressor body, which must be fit on this build's
+    feature catalog."""
+    version = _doc_field(doc, "catalog_version", int)
+    if version != CATALOG_VERSION:
+        raise ValueError(
+            f"regressor was fit on feature catalog version {version}, this "
+            f"build extracts version {CATALOG_VERSION}")
+    return _doc_field(doc, "input_dim", int)
+
+
+# Tree field -> the JSON value types it accepts; the last one is its dtype.
+_TREE_FIELDS = {"feature": (int,), "threshold": (int, float),
+                "left": (int,), "right": (int,), "value": (int, float)}
+
+
+def _trees_to_doc(trees) -> list:
+    return [{name: getattr(t, name).tolist() for name in _TREE_FIELDS}
+            for t in trees]
+
+
+def _tree_from_doc(doc, input_dim: int, where: str) -> regression.Tree:
+    """Per-node arrays from a checkpoint, checked so that every walk from the
+    root ends at a leaf."""
+    _doc_keys(doc, where, _TREE_FIELDS)
+    n = len(doc["feature"]) if isinstance(doc["feature"], list) else 0
+    for name, types in _TREE_FIELDS.items():
+        col = doc[name]
+        if not (n and isinstance(col, list) and len(col) == n
+                and all(type(v) in types for v in col)):
+            raise ValueError(f"{where}.{name} must be a list of "
+                             f"{n or 'one or more'} {types[-1].__name__}s")
+    tree = regression.Tree(*(_numbers_from_doc(doc[name], f"{where}.{name}",
+                                               types[-1])
+                             for name, types in _TREE_FIELDS.items()))
+    if tree.feature.min() < -1 or tree.feature.max() >= input_dim:
+        raise ValueError(f"{where}.feature must lie in [-1, {input_dim})")
+    inner = np.flatnonzero(tree.feature >= 0)
+    for name in ("left", "right"):
+        child = getattr(tree, name)
+        bad = inner[(child[inner] <= inner) | (child[inner] >= n)]
+        if bad.size:
+            raise ValueError(f"{where}.{name}[{bad[0]}] is {child[bad[0]]}; an "
+                             f"inner node's child must lie in ({bad[0]}, {n})")
+    return tree
+
+
+def _trees_from_doc(doc, input_dim: int, least: int) -> list:
+    """The field 'trees', a list of at least `least` trees: one for rf,
+    none for gbt."""
+    trees = doc["trees"]
+    if not isinstance(trees, list) or len(trees) < least:
+        raise ValueError("field 'trees' must be a list of trees, one or "
+                         "more for rf")
+    return [_tree_from_doc(t, input_dim, f"trees[{k}]")
+            for k, t in enumerate(trees)]
+
+
+def _rf_to_doc(model: regression.TrainedRegressor) -> dict:
+    return _regressor_doc(model, trees=_trees_to_doc(model.payload["trees"]))
+
+
+def _rf_from_doc(doc) -> regression.TrainedRegressor:
+    input_dim = _input_dim(doc)
+    return regression.TrainedRegressor(
+        "rf", {"trees": _trees_from_doc(doc, input_dim, 1)}, input_dim)
+
+
+def _gbt_to_doc(model: regression.TrainedRegressor) -> dict:
+    pl = model.payload
+    return _regressor_doc(model, base=pl["base"], eta=pl["eta"],
+                          trees=_trees_to_doc(pl["trees"]))
+
+
+def _gbt_from_doc(doc) -> regression.TrainedRegressor:
+    input_dim = _input_dim(doc)
+    trees = _trees_from_doc(doc, input_dim, 0)
+    eta = _doc_field(doc, "eta", int, float)
+    if not 0 < eta <= 1:
+        raise ValueError("eta must be in (0, 1]")
+    base = float(_doc_field(doc, "base", int, float))
+    return regression.TrainedRegressor(
+        "gbt", {"trees": trees, "base": base, "eta": eta}, input_dim)
+
+
+def _mlp_to_doc(model: regression.TrainedRegressor) -> dict:
+    """Each layer's weights are stored as (1, in, out)."""
+    pl = model.payload
+    return _regressor_doc(
+        model, mu=_array_to_doc(pl["mu"]), sigma=_array_to_doc(pl["sigma"]),
+        layers=[{"w": _array_to_doc(l.weights[None]),
+                 "b": _array_to_doc(l.bias)} for l in pl["layers"]])
+
+
+def _mlp_from_doc(doc) -> regression.TrainedRegressor:
+    input_dim = _input_dim(doc)
+    payload = {k: _array_from_doc(doc[k], k) for k in ("mu", "sigma")}
+    widths = [payload["mu"].shape, payload["sigma"].shape]
+    if widths != [(input_dim,)] * 2:
+        raise ValueError(f"field 'input_dim' is {input_dim}, but mu and "
+                         f"sigma have widths {widths}")
+    bad = np.flatnonzero(payload["sigma"] <= 0)
+    if bad.size:
+        raise ValueError(f"field 'sigma[{bad[0]}]' is "
+                         f"{payload['sigma'][bad[0]]}, not positive")
+    payload["layers"], width = [], input_dim  # width: the next layer's input
+    for k, layer in enumerate(_doc_field(doc, "layers", list)):
+        _doc_keys(layer, f"layers[{k}]", ("w", "b"))
+        w, b = (_array_from_doc(layer[p], f"layers[{k}].{p}") for p in "wb")
+        if w.ndim != 3 or w.shape[:2] != (1, width) or b.shape != w.shape[2:]:
+            raise ValueError(f"field 'layers[{k}]' has shapes w {w.shape} "
+                             f"and b {b.shape}, expected (1, {width}, n) "
+                             f"and (n,)")
+        payload["layers"].append(regression.Dense(w[0], b))
+        width = w.shape[2]
+    if not payload["layers"] or width != 1:
+        raise ValueError("field 'layers' must end in one output")
+    return regression.TrainedRegressor("mlp", payload, input_dim)
+
+
+# Each kind's body writer (model -> body), its reader (body -> model) and
+# the body's keys in writing order; a reader gets a body of exactly these.
+_Body = namedtuple("_Body", ["write", "read", "keys"])
+_REGRESSOR_KEYS = ("input_dim", "catalog_version")
+_BODIES = {
+    "mstcn": _Body(_mstcn_to_doc, _mstcn_from_doc, ("config", "params")),
+    "rf": _Body(_rf_to_doc, _rf_from_doc, (*_REGRESSOR_KEYS, "trees")),
+    "gbt": _Body(_gbt_to_doc, _gbt_from_doc,
+                 (*_REGRESSOR_KEYS, "base", "eta", "trees")),
+    "mlp": _Body(_mlp_to_doc, _mlp_from_doc,
+                 (*_REGRESSOR_KEYS, "mu", "sigma", "layers")),
+}
+
+
 def save_checkpoint(model, path) -> None:
     """Versioned JSON container for either a TCN or a regressor."""
     if isinstance(model, tcn.ModelWeights):
-        kind, body = "mstcn", tcn.weights_to_doc(model)
+        kind = "mstcn"
     elif isinstance(model, regression.TrainedRegressor):
-        kind, body = model.kind, regression.to_doc(model)
+        kind = regression.check_kind(model.kind)
     else:
         raise TypeError(f"cannot checkpoint object of type {type(model)}")
     doc = {"magic": CHECKPOINT_MAGIC, "format_version": CHECKPOINT_VERSION,
-           "kind": kind, **body}
+           "kind": kind, **_BODIES[kind].write(model)}
     atomic_write_text(path, json.dumps(doc))
 
 
 def load_checkpoint(path, expect: str):
-    """Load a checkpoint of the kind `expect`: 'mstcn' or 'regressor'."""
+    """Load a checkpoint of the kind `expect`: 'mstcn' or 'regressor'. Any
+    other `expect` is refused before the file is read."""
+    if expect not in ("mstcn", "regressor"):
+        raise ValueError(f"expect must be 'mstcn' or 'regressor', "
+                         f"not {expect!r}")
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: corrupt or truncated checkpoint: {e}") from None
     if not isinstance(doc, dict) or doc.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a jumppipe checkpoint (bad magic)")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported checkpoint version {doc.get('format_version')}"
-        )
+    version = doc.get("format_version")
+    # by type too: True and 1.0 equal 1 in Python
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if "kind" not in doc:
         raise ValueError(f"{path}: checkpoint is missing field 'kind'")
     kind = doc["kind"]
-    if expect == "mstcn" and kind != "mstcn":
-        raise ValueError(f"{path}: expected an MS-TCN checkpoint, found {kind!r}")
-    if expect == "regressor" and kind == "mstcn":
-        raise ValueError(f"{path}: expected a regressor checkpoint, found {kind!r}")
+    if (kind == "mstcn") != (expect == "mstcn"):
+        wanted = "an MS-TCN" if expect == "mstcn" else "a regressor"
+        raise ValueError(f"{path}: expected {wanted} checkpoint, found {kind!r}")
     body = {k: v for k, v in doc.items() if k not in CHECKPOINT_HEADER}
     try:
-        if kind == "mstcn":
-            return tcn.weights_from_doc(body)
-        return regression.from_doc(kind, body)
+        entry = _BODIES[regression.check_kind(kind) if expect == "regressor"
+                        else kind]
+        return entry.read(_doc_keys(body, "", entry.keys))
     except KeyError as e:
         raise ValueError(f"{path}: {kind} checkpoint is missing field "
                          f"{e.args[0]!r}") from None

@@ -13,7 +13,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import math
 import numbers
 import os
 import threading
@@ -131,78 +130,6 @@ class ConvKernel:
     @property
     def out_channels(self) -> int:
         return self.weights.shape[2]
-
-
-def array_to_doc(a: np.ndarray) -> dict:
-    """JSON-ready form of a float64 array; `array_from_doc` inverts it
-    exactly, since Python's float repr round-trips."""
-    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
-
-
-def array_from_doc(doc, name: str) -> np.ndarray:
-    """The array of an `array_to_doc` document; a malformed one, or one that
-    holds a number that is not finite or too large for a float, raises an
-    error naming the field `name` it was read from."""
-    doc_keys(doc, name, ("shape", "data"))
-    shape, data = doc["shape"], doc["data"]
-    if not (isinstance(shape, list) and isinstance(data, list)
-            and all(type(d) is int and d >= 0 for d in shape)
-            and all(type(v) in (int, float) for v in data)
-            and len(data) == math.prod(shape)):
-        raise ValueError(f"field {name!r} must be an array: a 'shape' list "
-                         f"of dims and a 'data' list of that many numbers")
-    return numbers_from_doc(data, name, np.float64).reshape(shape)
-
-
-def numbers_from_doc(values, name: str, dtype) -> np.ndarray:
-    """The JSON number or list of numbers `values` of the field `name` as a
-    `dtype` array, if each one fits it and is finite; else a ValueError that
-    names the field."""
-    try:
-        arr = np.array(values, dtype=dtype)
-    except OverflowError:
-        kind = "a float" if np.dtype(dtype).kind == "f" else "an int64"
-        raise ValueError(f"field {name!r} holds a number too large for "
-                         f"{kind}") from None
-    finite = np.isfinite(arr)
-    if not finite.all():
-        bad = arr[~finite].flat[0]
-        raise ValueError(f"field {name!r} holds {bad}, not a finite number")
-    return arr
-
-
-def doc_keys(doc, name: str, keys) -> dict:
-    """`doc` if it is a dict with exactly the keys `keys` that the writer
-    writes at field `name` ("" for the checkpoint body); else a ValueError
-    that names the field or a key it does not write, or a KeyError that
-    names a missing key by its path."""
-    if type(doc) is not dict:
-        raise ValueError(f"field {name!r} must be dict, "
-                         f"not {type(doc).__name__}")
-    expected = set(keys)
-    if doc.keys() != expected:
-        path = f"{name}." if name else ""
-        for key in keys:
-            if key not in doc:
-                raise KeyError(path + key)
-        unknown = next(key for key in doc if key not in expected)
-        raise ValueError(f"unknown field {path + unknown!r}")
-    return doc
-
-
-def doc_field(doc: dict, name: str, *types):
-    """The value of the field `name`, whose last dotted part is its key in
-    `doc`, if its JSON type is one of `types` and, where `types` holds
-    float, it is finite as a float; else a ValueError that names the
-    field."""
-    value = doc[name.rpartition(".")[2]]
-    if type(value) not in types:  # so a bool is no int
-        expected = " or ".join(sorted({t.__name__ for t in types}))
-        raise ValueError(f"field {name!r} must be {expected}, "
-                         f"not {type(value).__name__}")
-    if float in types:
-        numbers_from_doc(value, name, np.float64)
-    return value
 
 
 def check_ints(config, least: int, *names) -> None:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nncore
-from .features import CATALOG_VERSION
 from .nncore import AdamState, DimensionError
 
 
@@ -351,7 +350,7 @@ def _predict_gbt(payload: dict, X) -> np.ndarray:
 
 # ------------------------------------------------------------------ mlp
 
-# weights (in, out), bias (out,); a checkpoint stores weights as (1, in, out)
+# weights (in, out), bias (out,)
 Dense = namedtuple("Dense", ["weights", "bias"])
 
 
@@ -425,28 +424,26 @@ def _predict_mlp(payload: dict, X) -> np.ndarray:
 
 # A kind's fitter takes X and y as `_fit_input` returns them and gives the
 # payload; its predictor takes the payload and a 2-D X of `input_dim`
-# columns; `doc_keys` are the keys its checkpoint body holds beside
-# input_dim and catalog_version, as `to_doc` writes them.
-Kind = namedtuple("Kind", ["fit", "predict", "config", "doc_keys"])
-KINDS = {"rf": Kind(_fit_rf, _predict_rf, RfConfig, ("trees",)),
-         "gbt": Kind(_fit_gbt, _predict_gbt, GbtConfig,
-                     ("base", "eta", "trees")),
-         "mlp": Kind(_fit_mlp, _predict_mlp, MlpRegConfig,
-                     ("mu", "sigma", "layers"))}
+# columns.
+Kind = namedtuple("Kind", ["fit", "predict", "config"])
+KINDS = {"rf": Kind(_fit_rf, _predict_rf, RfConfig),
+         "gbt": Kind(_fit_gbt, _predict_gbt, GbtConfig),
+         "mlp": Kind(_fit_mlp, _predict_mlp, MlpRegConfig)}
 
 
-def _kind(kind) -> Kind:
+def check_kind(kind) -> str:
+    """`kind` if it is a key of `KINDS`, else a ValueError that lists them."""
     if type(kind) is not str or kind not in KINDS:
         raise ValueError(f"unknown regressor kind {kind!r}; the kinds are "
                          f"{', '.join(KINDS)}")
-    return KINDS[kind]
+    return kind
 
 
 def fit(kind: str, X, y, config) -> TrainedRegressor:
     """Fit a `kind` regressor; a `None` config means the kind's defaults.
     X and y are checked once, before any work (`_fit_input`), and the fit
     runs at one BLAS thread (`nncore.one_blas_thread`)."""
-    entry = _kind(kind)
+    entry = KINDS[check_kind(kind)]
     X, y = _fit_input(X, y)
     with nncore.one_blas_thread():
         payload = entry.fit(X, y, entry.config() if config is None else config)
@@ -462,110 +459,5 @@ def predict(model: TrainedRegressor, X):
         raise DimensionError(f"expected rows of {model.input_dim} features, "
                              f"got an array of shape {X.shape}")
     with nncore.one_blas_thread():
-        preds = _kind(model.kind).predict(model.payload, rows)
+        preds = KINDS[check_kind(model.kind)].predict(model.payload, rows)
     return float(preds[0]) if X.ndim == 1 else preds
-
-
-# ----------------------------------------------------- checkpoint body
-
-# Field -> the JSON value types it accepts; the last one is its array dtype.
-_TREE_FIELDS = {"feature": (int,), "threshold": (int, float),
-                "left": (int,), "right": (int,), "value": (int, float)}
-
-
-def _tree_from_doc(doc, input_dim: int, where: str) -> Tree:
-    """Per-node arrays from a checkpoint, checked so that every walk from the
-    root ends at a leaf."""
-    nncore.doc_keys(doc, where, _TREE_FIELDS)
-    n = len(doc["feature"]) if isinstance(doc["feature"], list) else 0
-    for name, types in _TREE_FIELDS.items():
-        col = doc[name]
-        if not (n and isinstance(col, list) and len(col) == n
-                and all(type(v) in types for v in col)):
-            raise ValueError(f"{where}.{name} must be a list of "
-                             f"{n or 'one or more'} {types[-1].__name__}s")
-    tree = Tree(*(nncore.numbers_from_doc(doc[name], f"{where}.{name}",
-                                          types[-1])
-                  for name, types in _TREE_FIELDS.items()))
-    if tree.feature.min() < -1 or tree.feature.max() >= input_dim:
-        raise ValueError(f"{where}.feature must lie in [-1, {input_dim})")
-    inner = np.flatnonzero(tree.feature >= 0)
-    for name in ("left", "right"):
-        child = getattr(tree, name)
-        bad = inner[(child[inner] <= inner) | (child[inner] >= n)]
-        if bad.size:
-            raise ValueError(f"{where}.{name}[{bad[0]}] is {child[bad[0]]}; an "
-                             f"inner node's child must lie in ({bad[0]}, {n})")
-    return tree
-
-
-def to_doc(model: TrainedRegressor) -> dict:
-    """Checkpoint body: what prediction reads, plus the feature contract."""
-    _kind(model.kind)  # refuses an unknown kind
-    doc = {"input_dim": model.input_dim, "catalog_version": CATALOG_VERSION}
-    pl = model.payload
-    if model.kind in ("rf", "gbt"):
-        if model.kind == "gbt":
-            doc["base"] = pl["base"]
-            doc["eta"] = pl["eta"]
-        doc["trees"] = [{name: getattr(t, name).tolist() for name in _TREE_FIELDS}
-                        for t in pl["trees"]]
-    else:
-        doc["mu"] = nncore.array_to_doc(pl["mu"])
-        doc["sigma"] = nncore.array_to_doc(pl["sigma"])
-        doc["layers"] = [
-            {"w": nncore.array_to_doc(l.weights[None]),
-             "b": nncore.array_to_doc(l.bias)}
-            for l in pl["layers"]
-        ]
-    return doc
-
-
-def from_doc(kind, doc: dict) -> TrainedRegressor:
-    """The regressor of a checkpoint body; any key that `to_doc` does not
-    write, at any level, is refused."""
-    nncore.doc_keys(doc, "", ("input_dim", "catalog_version",
-                              *_kind(kind).doc_keys))
-    version = nncore.doc_field(doc, "catalog_version", int)
-    if version != CATALOG_VERSION:
-        raise ValueError(
-            f"regressor was fit on feature catalog version {version}, this "
-            f"build extracts version {CATALOG_VERSION}")
-    input_dim = nncore.doc_field(doc, "input_dim", int)
-    if kind in ("rf", "gbt"):
-        trees = doc["trees"]
-        if not isinstance(trees, list) or (kind == "rf" and not trees):
-            raise ValueError("field 'trees' must be a list of trees, one or "
-                             "more for rf")
-        payload = {"trees": [_tree_from_doc(t, input_dim, f"trees[{k}]")
-                             for k, t in enumerate(trees)]}
-        if kind == "gbt":
-            eta = nncore.doc_field(doc, "eta", int, float)
-            if not 0 < eta <= 1:
-                raise ValueError("eta must be in (0, 1]")
-            payload.update(base=float(nncore.doc_field(doc, "base", int, float)),
-                           eta=eta)
-    else:
-        payload = {k: nncore.array_from_doc(doc[k], k) for k in ("mu", "sigma")}
-        widths = [payload["mu"].shape, payload["sigma"].shape]
-        if widths != [(input_dim,)] * 2:
-            raise ValueError(f"field 'input_dim' is {input_dim}, but mu and "
-                             f"sigma have widths {widths}")
-        bad = np.flatnonzero(payload["sigma"] <= 0)
-        if bad.size:
-            raise ValueError(f"field 'sigma[{bad[0]}]' is "
-                             f"{payload['sigma'][bad[0]]}, not positive")
-        payload["layers"], width = [], input_dim  # width: the next layer's input
-        for k, layer in enumerate(nncore.doc_field(doc, "layers", list)):
-            nncore.doc_keys(layer, f"layers[{k}]", ("w", "b"))
-            w, b = (nncore.array_from_doc(layer[p], f"layers[{k}].{p}")
-                    for p in "wb")
-            if w.ndim != 3 or w.shape[:2] != (1, width) or b.shape != w.shape[2:]:
-                raise ValueError(f"field 'layers[{k}]' has shapes w {w.shape} "
-                                 f"and b {b.shape}, expected (1, {width}, n) "
-                                 f"and (n,)")
-            payload["layers"].append(Dense(w[0], b))
-            width = w.shape[2]
-        if not payload["layers"] or width != 1:
-            raise ValueError("field 'layers' must end in one output")
-    return TrainedRegressor(kind, payload, input_dim)

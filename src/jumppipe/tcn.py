@@ -10,7 +10,6 @@ of the previous stage's logits and refine it.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -84,59 +83,6 @@ def config_to_doc(config: MsTcnConfig) -> dict:
             "in_channels": stage.in_channels, "num_classes": stage.num_classes,
             "lambda_tmse": nncore.LAMBDA_TMSE, "tau": nncore.TMSE_TAU,
             "epochs": config.epochs, "lr": config.lr, "seed": config.seed}
-
-
-def config_from_doc(doc) -> MsTcnConfig:
-    # each field has the type of its default; an int passes for a float
-    template = config_to_doc(MsTcnConfig())
-    nncore.doc_keys(doc, "config", template)
-    for key, default in template.items():
-        nncore.doc_field(doc, f"config.{key}", int, type(default))
-        if key in ("kernel_size", "lambda_tmse", "tau") and doc[key] != default:
-            raise ValueError(f"field 'config.{key}' is {doc[key]}, but "
-                             f"jumppipe fixes {key} = {default}")
-    stage = SsTcnConfig(**{f.name: doc[f.name] for f in fields(SsTcnConfig)})
-    return MsTcnConfig(doc["num_stages"], stage, doc["epochs"], doc["lr"],
-                       doc["seed"])
-
-
-def weights_to_doc(weights: ModelWeights) -> dict:
-    """Checkpoint body: the config plus every parameter by name."""
-    return {
-        "config": config_to_doc(weights.config),
-        "params": {name: nncore.array_to_doc(a)
-                   for name, a in weights.named_params()},
-    }
-
-
-def weights_from_doc(doc) -> ModelWeights:
-    """The model of a checkpoint body, whose `params` must be exactly the
-    parameters, by name and shape, that its `config` lays out. The model is
-    built from the file's arrays only once they all match, so the config
-    alone never sets how much memory a load asks for."""
-    nncore.doc_keys(doc, "", ("config", "params"))
-    config = config_from_doc(doc["config"])
-    params = doc["params"]
-    # One kernel more than the file holds is enough to tell a mismatch.
-    layout = list(itertools.islice(
-        kernel_layout(config),
-        len(params) // 2 + 1 if type(params) is dict else 0))
-    shapes = {}
-    for _, name, k, cin, cout, _ in layout:
-        shapes.update({f"{name}.w": (k, cin, cout), f"{name}.b": (cout,)})
-    nncore.doc_keys(params, "params", shapes)
-    saved = {}
-    for name, shape in shapes.items():
-        saved[name] = nncore.array_from_doc(params[name], f"params.{name}")
-        if saved[name].shape != shape:
-            raise ValueError(f"field 'params.{name}' has shape "
-                             f"{saved[name].shape}, but the config lays out "
-                             f"{shape}")
-    stages = [[] for _ in range(config.num_stages)]
-    for s, name, *_, dilation in layout:
-        stages[s].append(ConvKernel(saved[f"{name}.w"], saved[f"{name}.b"],
-                                    dilation))
-    return ModelWeights(config=config, stages=stages)
 
 
 def kernel_layout(config: MsTcnConfig):

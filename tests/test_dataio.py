@@ -365,7 +365,7 @@ class TestCheckpoints:
         save_checkpoint(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("kind", ["rf", "gbt", "mlp"])
+    @pytest.mark.parametrize("kind", regression.KINDS)
     def test_regressor_round_trip_bit_identical(self, kind, tmp_path):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 5))
@@ -416,6 +416,18 @@ class TestCheckpoints:
         path = tmp_path / "c.ckpt"
         save_checkpoint(model, path)
         return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("kind", ["mstcn", *regression.KINDS])
+    def test_every_body_field_required(self, kind, tmp_path):
+        doc = self._saved_doc(kind, tmp_path)
+        assert doc["kind"] == kind
+        path = tmp_path / "missing.ckpt"
+        for field in [k for k in doc if k not in ("magic", "format_version")]:
+            path.write_text(json.dumps({k: v for k, v in doc.items()
+                                        if k != field}))
+            with pytest.raises(ValueError, match=rf"missing field '{field}'$"):
+                load_checkpoint(path, "mstcn" if kind == "mstcn"
+                                else "regressor")
 
     @pytest.mark.parametrize("kind, field", [
         ("mstcn", "kind"), ("mstcn", "config"), ("mstcn", "params"),
@@ -529,10 +541,20 @@ class TestCheckpoints:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.ckpt"
-        path.write_text(json.dumps({"magic": dataio.CHECKPOINT_MAGIC,
-                                    "format_version": 99, "kind": "rf"}))
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path, "regressor")
+        # True and 1.0 equal 1 in Python, but are not the integer version 1
+        for version in (99, True, 1.0):
+            path.write_text(json.dumps({"magic": dataio.CHECKPOINT_MAGIC,
+                                        "format_version": version,
+                                        "kind": "rf"}))
+            with pytest.raises(ValueError, match=rf"v\.ckpt: unsupported "
+                               rf"checkpoint version {version}$"):
+                load_checkpoint(path, "regressor")
+
+    @pytest.mark.parametrize("expect", ["rf", "mlp", "MS-TCN", None])
+    def test_unknown_expect_refused_before_reading(self, expect, tmp_path):
+        with pytest.raises(ValueError, match="expect must be 'mstcn' or "
+                                             f"'regressor', not {expect!r}"):
+            load_checkpoint(tmp_path / "absent.ckpt", expect)
 
     def test_kind_tag_enforced(self, tmp_path):
         config = tcn.MsTcnConfig(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumppipe import nncore
+from jumppipe import dataio, nncore
 from jumppipe import regression as reg
 from jumppipe.evaluation import permutation_importance
 from jumppipe.nncore import DimensionError
@@ -34,6 +34,22 @@ def gbt_shape(monkeypatch):
         monkeypatch.setattr(reg, "GBT_MAX_DEPTH", max_depth)
         monkeypatch.setattr(reg, "GBT_ETA", eta)
     return set_shape
+
+
+def checkpoint_bytes(model, tmp_path) -> bytes:
+    """The bytes of `model` saved as a checkpoint."""
+    path = tmp_path / "model.ckpt"
+    dataio.save_checkpoint(model, path)
+    return path.read_bytes()
+
+
+def load_svm_checkpoint(tmp_path):
+    """Load a checkpoint whose header names the kind 'svm'."""
+    path = tmp_path / "svm.ckpt"
+    path.write_text(json.dumps({"magic": dataio.CHECKPOINT_MAGIC,
+                                "format_version": dataio.CHECKPOINT_VERSION,
+                                "kind": "svm"}))
+    return dataio.load_checkpoint(path, "regressor")
 
 
 def brute_force_root_split(X, y):
@@ -303,13 +319,13 @@ class TestFrontDoor:
     """Every kind is fit and predicted through `fit` and `predict`."""
 
     @pytest.mark.parametrize("call", [
-        lambda: reg.fit("svm", *linear_fixture(n=20, p=3), None),
-        lambda: reg.from_doc("svm", {}),
-        lambda: reg.to_doc(reg.TrainedRegressor("svm", {}, 3))])
-    def test_unknown_kind_refused_with_the_kinds(self, call):
+        lambda tmp: reg.fit("svm", *linear_fixture(n=20, p=3), None),
+        lambda tmp: load_svm_checkpoint(tmp),
+        lambda tmp: checkpoint_bytes(reg.TrainedRegressor("svm", {}, 3), tmp)])
+    def test_unknown_kind_refused_with_the_kinds(self, call, tmp_path):
         with pytest.raises(ValueError, match="unknown regressor kind 'svm'; "
                                              "the kinds are rf, gbt, mlp$"):
-            call()
+            call(tmp_path)
 
     @pytest.mark.parametrize("kind", reg.KINDS)
     def test_one_row_gives_a_float(self, kind):
@@ -404,13 +420,14 @@ class TestRankKeys:
 
     @pytest.mark.parametrize("kind", ["rf", "gbt"])
     @pytest.mark.parametrize("table", ["default", "tied", "signed_zero"])
-    def test_checkpoint_bytes_match_argsort_reference(self, kind, table):
+    def test_checkpoint_bytes_match_argsort_reference(self, kind, table,
+                                                      tmp_path):
         X, y = {"default": lambda: default_tables()[0],
                 "tied": tied_fixture,
                 "signed_zero": signed_zero_fixture}[table]()
         config = RfConfig() if kind == "rf" else GbtConfig()
-        got = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
-        want = json.dumps(reg.to_doc(argsort_fit(kind, X, y, config)))
+        got = checkpoint_bytes(reg.fit(kind, X, y, config), tmp_path)
+        want = checkpoint_bytes(argsort_fit(kind, X, y, config), tmp_path)
         assert got == want
 
     @pytest.mark.parametrize("kind", ["rf", "gbt"])
@@ -631,16 +648,16 @@ class TestTree:
 
     @pytest.mark.parametrize("kind", ["rf", "gbt"])
     def test_checkpoint_bytes_match_per_feature_loop(self, kind, monkeypatch,
-                                                     gbt_shape):
+                                                     gbt_shape, tmp_path):
         X, y = tied_fixture()
         gbt_shape(15, max_depth=4)
         config = (RfConfig(n_estimators=10, seed=3) if kind == "rf"
                   else GbtConfig())
-        got = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
+        got = checkpoint_bytes(reg.fit(kind, X, y, config), tmp_path)
         monkeypatch.setattr(reg, "_best_split",
                             lambda X, ranks, y, idx, features:
                             loop_best_split(X, y, idx, features))
-        want = json.dumps(reg.to_doc(reg.fit(kind, X, y, config)))
+        want = checkpoint_bytes(reg.fit(kind, X, y, config), tmp_path)
         assert got == want
 
     @given(st.data())
@@ -819,7 +836,6 @@ class TestMlp:
                                    atol=5e-3)
 
     def test_folded_checkpoint_round_trip_bit_identical(self, tmp_path):
-        from jumppipe import dataio
         X, y = linear_fixture(seed=19, n=40)
         model = reg.fit("mlp", X, 0.3 + 0.05 * y,
                         MlpRegConfig(hidden_layers=(8,), max_iter=50))
